@@ -13,24 +13,32 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import AnalysisError, InsufficientDataError
 from repro.monitoring.timeseries import TimeSeries
 
-#: Candidate families: name -> scipy distribution.
-CANDIDATE_FAMILIES: Dict[str, scipy_stats.rv_continuous] = {
-    "normal": scipy_stats.norm,
-    "lognormal": scipy_stats.lognorm,
-    "gamma": scipy_stats.gamma,
-    "weibull": scipy_stats.weibull_min,
-    "exponential": scipy_stats.expon,
+#: Candidate families: name -> the ``scipy.stats`` distribution's name.
+#: scipy takes about a second to import and no simulation path needs it,
+#: so it is imported only where a fit or test runs.
+CANDIDATE_FAMILIES: Dict[str, str] = {
+    "normal": "norm",
+    "lognormal": "lognorm",
+    "gamma": "gamma",
+    "weibull": "weibull_min",
+    "exponential": "expon",
 }
 
 #: Families that require strictly positive support.
 _POSITIVE_ONLY = {"lognormal", "gamma", "weibull", "exponential"}
 
 _MIN_SAMPLES = 8
+
+
+def _distribution(name: str):
+    """The ``scipy.stats`` distribution of a candidate family."""
+    from scipy import stats as scipy_stats
+
+    return getattr(scipy_stats, CANDIDATE_FAMILIES[name])
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,7 @@ class DistributionFit:
 
     def frozen(self):
         """The scipy frozen distribution for sampling/evaluation."""
-        return CANDIDATE_FAMILIES[self.family](*self.params)
+        return _distribution(self.family)(*self.params)
 
 
 def _prepare(series: Union[TimeSeries, np.ndarray, list]) -> np.ndarray:
@@ -74,6 +82,8 @@ def fit_candidates(
     Families needing positive support are skipped for series with
     non-positive values.  Degenerate (zero-variance) series raise.
     """
+    from scipy import stats as scipy_stats
+
     values = _prepare(series)
     if np.var(values) == 0:
         raise AnalysisError("cannot fit distributions to a constant series")
@@ -84,7 +94,7 @@ def fit_candidates(
             raise AnalysisError(f"unknown family {name!r}")
         if name in _POSITIVE_ONLY and (values <= 0).any():
             continue
-        distribution = CANDIDATE_FAMILIES[name]
+        distribution = _distribution(name)
         try:
             if name in _POSITIVE_ONLY:
                 params = distribution.fit(values, floc=0.0)
@@ -120,7 +130,7 @@ def fit_candidates(
 
 def name_to_cdf(name: str, params: Tuple[float, ...]):
     """CDF callable of a fitted family (helper for K-S tests)."""
-    distribution = CANDIDATE_FAMILIES[name]
+    distribution = _distribution(name)
 
     def cdf(x):
         return distribution.cdf(x, *params)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import InsufficientDataError
 from repro.monitoring.timeseries import TimeSeries
@@ -61,6 +60,10 @@ def summarize(series: ArrayLike) -> SummaryStats:
     Raises:
         InsufficientDataError: fewer than 2 samples.
     """
+    # scipy takes about a second to import and no simulation path
+    # needs it, so only the analysis that uses it pays for it.
+    from scipy import stats as scipy_stats
+
     values = _as_array(series)
     if values.size < 2:
         raise InsufficientDataError(

@@ -61,6 +61,9 @@ class FleetResult:
     #: watch-only fleet.
     optimizer: Optional[dict]
     wall_clock_s: float = 0.0
+    #: Every pod's ``phases_s`` summed phase by phase.  Inline, the pods
+    #: run one after another, so the sum stays within ``wall_clock_s``;
+    #: on several shards it counts each shard's time.
     phases_s: Dict[str, float] = field(default_factory=dict)
 
     @property

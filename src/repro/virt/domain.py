@@ -81,9 +81,13 @@ class Domain:
         """Cores this domain could use right now.
 
         Bounded by its online VCPUs (a 2-VCPU domain can never use more
-        than 2 cores) and by its current active workers.
+        than 2 cores) and by its current active workers.  An idle domain
+        returns before counting its VCPUs.
         """
-        return float(min(self.online_vcpus, max(0, self.active_workers)))
+        active = self.active_workers
+        if active <= 0:
+            return 0.0
+        return float(min(self.online_vcpus, active))
 
     def worker_started(self) -> None:
         """A station began serving a job inside this domain."""

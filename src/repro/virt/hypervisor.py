@@ -459,19 +459,18 @@ class Hypervisor:
 
     def _run_epoch(self, tick_time: float) -> None:
         decision = self.scheduler.allocate(self._domains.values())
-        demands = decision.demand_cores
-        runnable = sum(1 for d in demands.values() if d > 0)
+        runnable = decision.runnable
         if runnable:
             self.server.cpu.charge(
                 DOM0_OWNER,
                 self.overhead.sched_cycles_per_epoch_per_domain * runnable,
             )
-            total_demand = sum(demands.values())
+            total_demand = decision.total_demand
             if total_demand > self.scheduler.total_cores + 1e-12:
                 wait_fraction = 1.0 - self.scheduler.total_cores / total_demand
                 ready = self._cpu_ready_s
                 accrual = self.epoch_s * wait_fraction
-                for name, demand in demands.items():
+                for name, demand in decision.demand_cores.items():
                     if demand <= 0:
                         continue
                     ready[name] = ready.get(name, 0.0) + accrual * demand

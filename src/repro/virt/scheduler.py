@@ -12,12 +12,18 @@ queueing stations sample the resulting per-domain speed fraction at
 service start (documented approximation: in-flight services are not
 re-scaled mid-service; at the paper's operating point — far from CPU
 saturation — allocations are almost always demand-limited anyway).
+
+The allocation is a pure function of its input, and consolidated
+servers mostly run idle guests whose input does not change between
+epochs, so an epoch that sees the previous epoch's exact input reuses
+the previous decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.virt.domain import Domain
@@ -47,6 +53,16 @@ class SchedulerDecision:
         granted = self.granted_cores.get(domain_name, 0.0)
         return max(min(granted / demand, 1.0), 1e-9)
 
+    @cached_property
+    def runnable(self) -> int:
+        """Domains with a positive demand."""
+        return sum(1 for demand in self.demand_cores.values() if demand > 0)
+
+    @cached_property
+    def total_demand(self) -> float:
+        """Cores demanded by all domains together."""
+        return sum(self.demand_cores.values())
+
 
 class CreditScheduler:
     """Weighted, capped, work-conserving proportional share."""
@@ -60,22 +76,42 @@ class CreditScheduler:
         # name -> speed fraction of the last epoch; fractions only change
         # at epoch boundaries but are read at every service start.
         self._fractions: Dict[str, float] = {}
+        # The input that produced ``last_decision``: total cores (None
+        # before the first epoch) and each domain's (name, demand, cap,
+        # weight).
+        self._last_total: Optional[float] = None
+        self._last_inputs: List[Tuple[str, float, float, float]] = []
 
     def allocate(self, domains: Iterable[Domain]) -> SchedulerDecision:
-        """Allocate cores to ``domains`` for the next epoch."""
-        domain_list = list(domains)
-        demands = {d.name: d.demand_cores() for d in domain_list}
-        limits = {
-            d.name: min(
-                demands[d.name],
-                d.cap_cores if d.cap_cores > 0 else self.total_cores,
-            )
-            for d in domain_list
-        }
-        weights = {d.name: d.weight for d in domain_list}
-        granted = {d.name: 0.0 for d in domain_list}
+        """Allocate cores to ``domains`` for the next epoch.
 
-        remaining = self.total_cores
+        The decision depends only on ``total_cores`` and each domain's
+        (name, demand, cap, weight) in iteration order.  When all of it
+        equals the previous epoch's, the previous decision is returned.
+        The input is read afresh on every call rather than tracked by a
+        dirty flag, because worker gauges, caps and ``total_cores`` are
+        written directly by the request engines, fault injectors and
+        live migration.
+        """
+        total_cores = self.total_cores
+        inputs = [
+            (d.name, d.demand_cores(), d.cap_cores, d.weight) for d in domains
+        ]
+        self.epochs += 1
+        if total_cores == self._last_total and inputs == self._last_inputs:
+            return self.last_decision
+        self._last_total = total_cores
+        self._last_inputs = inputs
+
+        demands = {name: demand for name, demand, _, _ in inputs}
+        limits = {
+            name: min(demand, cap if cap > 0 else total_cores)
+            for name, demand, cap, _ in inputs
+        }
+        weights = {name: weight for name, _, _, weight in inputs}
+        granted = {name: 0.0 for name, _, _, _ in inputs}
+
+        remaining = total_cores
         unsatisfied = {name for name, lim in limits.items() if lim > 0}
         for _ in range(_MAX_FILL_ROUNDS):
             if remaining <= 1e-12 or not unsatisfied:
@@ -103,13 +139,12 @@ class CreditScheduler:
         decision = SchedulerDecision(
             granted_cores=granted,
             demand_cores=demands,
-            total_cores=self.total_cores,
+            total_cores=total_cores,
         )
         self.last_decision = decision
         self._fractions = {
             name: decision.speed_fraction(name) for name in demands
         }
-        self.epochs += 1
         return decision
 
     def speed_fraction(self, domain_name: str) -> float:

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.faults.injectors import ServerCrashInjector
+from repro.hardware.server import PhysicalServer
+from repro.sim.engine import Simulator
 from repro.virt.domain import Domain
+from repro.virt.hypervisor import Hypervisor
 from repro.virt.scheduler import CreditScheduler
 
 
@@ -149,3 +153,91 @@ class TestSchedulerProperties:
                 assert granted[domain.name] == pytest.approx(
                     domain.demand_cores(), abs=1e-6
                 )
+
+
+#: Edits made to a scheduler's input between two epochs.
+EDITS = ("workers", "cap", "weight", "cores", "vcpus", "add", "remove")
+
+
+class TestMemoizedAllocation:
+    """A repeated input reuses the previous decision; it must be exact."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_fresh_scheduler_under_random_edits(self, data):
+        base_cores = float(data.draw(st.integers(min_value=1, max_value=8)))
+        scheduler = CreditScheduler(total_cores=base_cores)
+        workers = st.integers(min_value=0, max_value=6)
+        domains = [
+            make_domain(f"d{i}", data.draw(workers))
+            for i in range(data.draw(st.integers(min_value=1, max_value=4)))
+        ]
+        added = len(domains)
+        epochs = data.draw(st.integers(min_value=2, max_value=10))
+        for epoch in range(epochs):
+            for edit in data.draw(st.lists(st.sampled_from(EDITS), max_size=3)):
+                domain = data.draw(st.sampled_from(domains))
+                if edit == "workers":
+                    domain.active_workers = data.draw(workers)
+                elif edit == "cap":
+                    domain.cap_cores = data.draw(
+                        st.sampled_from((0.0, 0.5, 1.0, 3.0))
+                    )
+                elif edit == "weight":
+                    domain.weight = data.draw(
+                        st.sampled_from((128.0, 256.0, 512.0))
+                    )
+                elif edit == "cores":
+                    # As the crash injector does: rewrite the attribute.
+                    scheduler.total_cores = base_cores * data.draw(
+                        st.sampled_from((0.05, 0.5, 1.0))
+                    )
+                elif edit == "vcpus":
+                    domain.set_online_vcpus(
+                        data.draw(st.integers(min_value=1, max_value=4))
+                    )
+                elif edit == "add":
+                    domains.append(make_domain(f"d{added}", data.draw(workers)))
+                    added += 1
+                elif len(domains) > 1:
+                    domains.remove(domain)
+
+            decision = scheduler.allocate(domains)
+            fresh = CreditScheduler(total_cores=scheduler.total_cores)
+            expected = fresh.allocate(domains)
+            assert decision.granted_cores == expected.granted_cores
+            assert decision.demand_cores == expected.demand_cores
+            assert decision.total_cores == expected.total_cores
+            for domain in domains:
+                assert scheduler.speed_fraction(
+                    domain.name
+                ) == fresh.speed_fraction(domain.name)
+            assert scheduler.epochs == epoch + 1
+
+    def test_unchanged_input_returns_the_previous_decision(self):
+        scheduler = CreditScheduler(total_cores=4)
+        domains = [make_domain("a", 1), make_domain("b", 0)]
+        first = scheduler.allocate(domains)
+        assert scheduler.allocate(domains) is first
+        domains[1].active_workers = 1
+        assert scheduler.allocate(domains) is not first
+        assert scheduler.epochs == 3
+
+    def test_crash_between_epochs_changes_the_speed_fraction(self):
+        # Demand stays put while the crash injector rewrites the
+        # scheduler's cores, so only ``total_cores`` tells the epochs
+        # apart.
+        sim = Simulator()
+        server = PhysicalServer("s")
+        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        web = hypervisor.create_domain("web-vm", vcpu_count=2)
+        web.active_workers = 2
+        crash = ServerCrashInjector(hypervisor, residual_fraction=0.125)
+        sim.run_until(0.15)
+        assert hypervisor.scheduler.speed_fraction("web-vm") == 1.0
+        crash.inject()
+        sim.run_until(0.25)
+        assert hypervisor.scheduler.speed_fraction("web-vm") == 0.5
+        crash.clear()
+        sim.run_until(0.35)
+        assert hypervisor.scheduler.speed_fraction("web-vm") == 1.0
