@@ -43,6 +43,12 @@ Chrome-``trace_event`` JSON for chrome://tracing / Perfetto.
 ``compare`` reproduces the paper's Section 4.1/4.2
 comparison (the four ratio tables plus the Q1-Q5 findings);
 ``table1`` prints the metric catalogue sample.
+
+``run``, ``diagnose`` and ``trace`` share one set of scenario flags,
+resolved into a :class:`~repro.experiments.scenarios.Scenario` by one
+function, so a flag means the same on all three.  A flag a path would
+silently drop is rejected instead, found by comparing the parsed
+values with the parser's own defaults.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.analysis.characterize import characterize_trace_set
@@ -58,10 +65,21 @@ from repro.analysis.report import (
     render_ratio_table,
 )
 from repro.config import ExperimentConfig
+from repro.control.spec import CONTROLLER_KINDS
 from repro.errors import ConfigurationError
 from repro.experiments.compare import compare_with_paper, qualitative_checks
 from repro.experiments.runner import run_scenario, run_scenario_cached
-from repro.experiments.scenarios import scenario, scenario_catalog
+from repro.experiments.scenarios import (
+    CLASSIC_ENGINE,
+    ENGINES,
+    ENVIRONMENTS,
+    VIRTUALIZED,
+    Scenario,
+    scenario,
+    scenario_catalog,
+    with_controller,
+    with_engine,
+)
 from repro.experiments.suite import (
     TENANT_MIXES,
     paper_matrix_suite,
@@ -70,6 +88,7 @@ from repro.experiments.suite import (
     suite_grid,
 )
 from repro.experiments.tables import render_table1
+from repro.faults.spec import FAULT_KINDS
 from repro.monitoring.export import (
     write_annotations_jsonl,
     write_columnar_csv,
@@ -78,6 +97,102 @@ from repro.monitoring.export import (
     write_request_traces_jsonl,
     write_trace_csv,
     write_trace_json,
+)
+from repro.placement.spec import PLACEMENT_POLICIES, validate_placement_policy
+
+
+def _scenario_flags(
+    sample_flags: Sequence[str] = ("--trace-sample",),
+    sample_default: float = 0.0,
+) -> argparse.ArgumentParser:
+    """The flags that describe one run, shared by run, diagnose and trace.
+
+    ``trace`` samples by default and also spells its rate ``--sample``.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--scenario", default=None, metavar="NAME",
+        help="run a catalogue entry by name (see `repro run --list`); "
+             "composes with --duration/--seed/--clients/--controller/"
+             "--engine/--trace-sample and rejects the other scenario "
+             "flags",
+    )
+    flags.add_argument(
+        "--environment", default=VIRTUALIZED, choices=ENVIRONMENTS,
+    )
+    flags.add_argument("--composition", default="browsing")
+    flags.add_argument("--duration", type=float, default=None,
+                       help="simulated seconds (default 240)")
+    flags.add_argument("--seed", type=int, default=42)
+    flags.add_argument("--clients", type=int, default=None)
+    flags.add_argument(
+        "--scale", type=float, default=1.0,
+        help="stress multiplier on horizon and clients (default 1)",
+    )
+    flags.add_argument(
+        "--traffic", default="closed", metavar="KIND",
+        help="traffic driver: closed (default), poisson, mmpp, bmodel "
+             "or trace:<path>",
+    )
+    flags.add_argument(
+        "--rate", type=float, default=None, metavar="RPS",
+        help="open-loop base request rate (default: clients/think_time)",
+    )
+    flags.add_argument(
+        "--session-budget", type=int, default=None, metavar="N",
+        help="open-loop concurrent-session cap (arrivals beyond it are "
+             "shed and reported)",
+    )
+    flags.add_argument(
+        "--engine", default=CLASSIC_ENGINE, choices=ENGINES,
+        help="request engine: 'classic' (event-per-hop, the bit-stable "
+             "default) or 'batched' (array-native cohort engine; "
+             "equivalent in distribution, not bitwise — see "
+             "PERFORMANCE.md)",
+    )
+    flags.add_argument(
+        "--controller", default="none", choices=("none",) + CONTROLLER_KINDS,
+        help="elastic-control policy resizing the web VMs mid-run "
+             "(static = apply the initial sizing, never act); composes "
+             "with --scenario by swapping the catalogue entry's policy",
+    )
+    flags.add_argument(
+        "--servers", type=int, default=1, metavar="N",
+        help="physical servers in the fleet (>1 places VMs across "
+             "servers through the placement engine)",
+    )
+    flags.add_argument(
+        "--placement", default=None, choices=PLACEMENT_POLICIES,
+        help="placement policy assigning VMs to servers "
+             "(default: firstfit; only meaningful with --servers > 1)",
+    )
+    flags.add_argument(
+        "--faults", default=None, metavar="SCHEDULE",
+        help="inject faults mid-run: '+'-joined "
+             "kind@at[:duration[:magnitude]][/target] entries, e.g. "
+             "crash@60 or cap_theft@40:30:0.1/web-vm "
+             f"(kinds: {', '.join(FAULT_KINDS)})",
+    )
+    flags.add_argument(
+        *sample_flags, dest="trace_sample", type=float,
+        default=sample_default, metavar="RATE",
+        help="sample this fraction of requests into span trees "
+             f"(deterministic, RNG-free; default {sample_default:g})",
+    )
+    return flags
+
+
+#: The scenario flags that compose with ``--scenario``.
+_COMPOSE_WITH_SCENARIO = (
+    "scenario", "duration", "seed", "clients", "controller", "engine",
+    "trace_sample",
+)
+#: The only ``run`` flags the ``--fleet`` path reads.
+_FLEET_READS = ("fleet", "shards", "quick_fleet", "seed", "export_json")
+#: The ``sweep`` flags a ``--grid`` preset reads.
+_PRESET_READS = (
+    "grid", "workers", "duration", "seed", "clients", "engines",
+    "figures", "table", "diagnose", "slo_ms", "json",
 )
 
 
@@ -91,81 +206,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="run one scenario")
+    run_parser = sub.add_parser(
+        "run", parents=[_scenario_flags()], help="run one scenario"
+    )
     run_parser.add_argument(
-        "--list", action="store_true", dest="list_scenarios",
+        "--list", action="store_true",
         help="print the named scenario catalogue and exit",
-    )
-    run_parser.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="run a catalogue entry by name (see --list); honours "
-             "--duration/--seed/--clients and rejects the remaining "
-             "shaping flags (--traffic/--scale/...)",
-    )
-    run_parser.add_argument(
-        "--environment", default="virtualized",
-        choices=("virtualized", "bare-metal"),
-    )
-    run_parser.add_argument("--composition", default="browsing")
-    run_parser.add_argument("--duration", type=float, default=None,
-                            help="simulated seconds (default 240)")
-    run_parser.add_argument("--seed", type=int, default=42)
-    run_parser.add_argument("--clients", type=int, default=None)
-    run_parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="stress multiplier on horizon and clients (default 1)",
-    )
-    run_parser.add_argument(
-        "--traffic", default="closed", metavar="KIND",
-        help="traffic driver: closed (default), poisson, mmpp, bmodel "
-             "or trace:<path>",
-    )
-    run_parser.add_argument(
-        "--rate", type=float, default=None, metavar="RPS",
-        help="open-loop base request rate (default: clients/think_time)",
-    )
-    run_parser.add_argument(
-        "--session-budget", type=int, default=None, metavar="N",
-        help="open-loop concurrent-session cap (arrivals beyond it are "
-             "shed and reported)",
-    )
-    run_parser.add_argument(
-        "--engine", default="classic", choices=("classic", "batched"),
-        help="request engine: 'classic' (event-per-hop, the bit-stable "
-             "default) or 'batched' (array-native cohort engine; "
-             "equivalent in distribution, not bitwise — see "
-             "PERFORMANCE.md)",
     )
     run_parser.add_argument(
         "--profile", default=None, metavar="FILE",
         help="profile the run loop with cProfile and dump the pstats "
              "data to FILE (inspect with `python -m pstats FILE`)",
-    )
-    run_parser.add_argument(
-        "--controller", default="none",
-        choices=("none", "static", "threshold", "pid", "predictive"),
-        help="elastic-control policy resizing the web VMs mid-run "
-             "(static = apply the initial sizing, never act); composes "
-             "with --scenario by swapping the catalogue entry's policy",
-    )
-    run_parser.add_argument(
-        "--servers", type=int, default=1, metavar="N",
-        help="physical servers in the fleet (>1 places VMs across "
-             "servers through the placement engine)",
-    )
-    run_parser.add_argument(
-        "--placement", default=None,
-        choices=("firstfit", "bestfit", "balance", "priority"),
-        help="placement policy assigning VMs to servers "
-             "(default: firstfit; only meaningful with --servers > 1)",
-    )
-    run_parser.add_argument(
-        "--faults", default=None, metavar="SCHEDULE",
-        help="inject faults mid-run: '+'-joined "
-             "kind@at[:duration[:magnitude]][/target] entries, e.g. "
-             "crash@60 or cap_theft@40:30:0.1/web-vm "
-             "(kinds: crash, degrade_disk, degrade_nic, cap_theft, "
-             "dom0_saturate, bot_flood, flash_crowd)",
     )
     run_parser.add_argument(
         "--columnar", action="store_true",
@@ -198,12 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "observation)",
     )
     run_parser.add_argument(
-        "--trace-sample", type=float, default=0.0, metavar="RATE",
-        help="sample this fraction of requests into span trees "
-             "(deterministic, RNG-free; 0 = off, the default); "
-             "composes with --scenario and either engine",
-    )
-    run_parser.add_argument(
         "--export-traces", default=None, metavar="PATH",
         help="write the sampled request traces as JSON Lines "
              "(requires --trace-sample > 0)",
@@ -217,8 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--fleet", default=None, metavar="NAME",
         help="run a sharded fleet scenario instead of one testbed "
-             "('list' prints the fleet catalogue); honours --seed and "
-             "--shards and rejects the single-run shaping flags",
+             "('list' prints the fleet catalogue); reads only "
+             "--seed/--shards/--quick-fleet/--export-json and rejects "
+             "every other flag",
     )
     run_parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -272,23 +318,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--controllers", default="none",
-        help="comma-separated elastic-control axis: none, static, "
-             "threshold, pid or predictive (default: none)",
+        help="comma-separated elastic-control axis: "
+             f"{', '.join(('none',) + CONTROLLER_KINDS)} (default: none)",
     )
     sweep_parser.add_argument(
         "--servers", default="1",
         help="comma-separated fleet-size axis (default: 1)",
     )
     sweep_parser.add_argument(
-        "--placement", default=None,
-        choices=("firstfit", "bestfit", "balance", "priority"),
+        "--placement", default=None, choices=PLACEMENT_POLICIES,
         help="placement policy for multi-server cells "
              "(default: firstfit)",
     )
     sweep_parser.add_argument(
         "--placements", default=None, metavar="POLICIES",
         help="comma-separated placement-policy axis for multi-server "
-             "cells (firstfit, bestfit, balance, priority); mutually "
+             f"cells ({', '.join(PLACEMENT_POLICIES)}); mutually "
              "exclusive with --placement",
     )
     sweep_parser.add_argument(
@@ -299,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: none)",
     )
     sweep_parser.add_argument(
-        "--engines", default="classic",
-        help="comma-separated request-engine axis: classic, batched "
+        "--engines", default=CLASSIC_ENGINE,
+        help=f"comma-separated request-engine axis: {', '.join(ENGINES)} "
              "(default: classic); composes with --grid presets",
     )
     sweep_parser.add_argument(
@@ -333,35 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     diagnose_parser = sub.add_parser(
         "diagnose",
+        parents=[_scenario_flags()],
         help="run one scenario observed and print the diagnosis report",
-    )
-    diagnose_parser.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="catalogue entry to diagnose (see `repro run --list`); "
-             "omit to build the run from the flags below",
-    )
-    diagnose_parser.add_argument(
-        "--environment", default="virtualized",
-        choices=("virtualized", "bare-metal"),
-    )
-    diagnose_parser.add_argument("--composition", default="browsing")
-    diagnose_parser.add_argument("--duration", type=float, default=None)
-    diagnose_parser.add_argument("--seed", type=int, default=42)
-    diagnose_parser.add_argument("--clients", type=int, default=None)
-    diagnose_parser.add_argument(
-        "--controller", default="none",
-        choices=("none", "static", "threshold", "pid", "predictive"),
-    )
-    diagnose_parser.add_argument(
-        "--servers", type=int, default=1, metavar="N",
-    )
-    diagnose_parser.add_argument(
-        "--placement", default=None,
-        choices=("firstfit", "bestfit", "balance", "priority"),
-    )
-    diagnose_parser.add_argument(
-        "--faults", default=None, metavar="SCHEDULE",
-        help="fault schedule to inject (same syntax as `repro run`)",
     )
     diagnose_parser.add_argument(
         "--slo-ms", type=float, default=100.0, metavar="MS",
@@ -378,34 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace_parser = sub.add_parser(
         "trace",
+        parents=[_scenario_flags(("--sample", "--trace-sample"), 0.05)],
         help="run one scenario with request tracing and print the "
              "latency anatomy",
-    )
-    trace_parser.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="catalogue entry to trace (see `repro run --list`); omit "
-             "to build the run from the flags below",
-    )
-    trace_parser.add_argument(
-        "--environment", default="virtualized",
-        choices=("virtualized", "bare-metal"),
-    )
-    trace_parser.add_argument("--composition", default="browsing")
-    trace_parser.add_argument("--duration", type=float, default=None)
-    trace_parser.add_argument("--seed", type=int, default=42)
-    trace_parser.add_argument("--clients", type=int, default=None)
-    trace_parser.add_argument(
-        "--engine", default="classic", choices=("classic", "batched"),
-        help="request engine to trace (both produce the same span "
-             "schema)",
-    )
-    trace_parser.add_argument(
-        "--faults", default=None, metavar="SCHEDULE",
-        help="fault schedule to inject (same syntax as `repro run`)",
-    )
-    trace_parser.add_argument(
-        "--sample", type=float, default=0.05, metavar="RATE",
-        help="request sampling rate (default 0.05)",
     )
     trace_parser.add_argument(
         "--tail", type=float, default=99.0, metavar="P",
@@ -524,37 +517,24 @@ def _render_trace_report(result, tail: float, slowest: int) -> str:
     return "\n".join(lines)
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
+def _reject(dests: Sequence[str], what: str, why: str) -> None:
+    """Refuse the given flags ``what`` would otherwise silently drop."""
+    if dests:
+        # Every flag's dest is its long option name.
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in dests)
+        raise ConfigurationError(f"{what} is incompatible with {flags}; {why}")
+
+
+def _cmd_fleet(args: argparse.Namespace, given: Sequence[str]) -> int:
     """``repro run --fleet``: the sharded fleet-of-fleets path."""
     from repro.shard import fleet_catalog, run_fleet
 
-    conflicting = {
-        "--scenario": args.scenario is not None,
-        "--environment": args.environment != "virtualized",
-        "--composition": args.composition != "browsing",
-        "--duration": args.duration is not None,
-        "--clients": args.clients is not None,
-        "--scale": args.scale != 1.0,
-        "--traffic": args.traffic != "closed",
-        "--rate": args.rate is not None,
-        "--session-budget": args.session_budget is not None,
-        "--engine": args.engine != "classic",
-        "--controller": args.controller != "none",
-        "--servers": args.servers != 1,
-        "--placement": args.placement is not None,
-        "--faults": args.faults is not None,
-        "--columnar": args.columnar,
-        "--trace-sample": args.trace_sample > 0.0,
-        "--diagnose": args.diagnose,
-        "--profile": args.profile is not None,
-        "--export-csv": args.export_csv is not None,
-    }
-    rejected = [flag for flag, given in conflicting.items() if given]
-    if rejected:
-        raise ConfigurationError(
-            f"--fleet is incompatible with {', '.join(rejected)}; a "
-            "fleet scenario defines its own pods, horizon and faults"
-        )
+    _reject(
+        [dest for dest in given if dest not in _FLEET_READS],
+        "--fleet",
+        "a fleet scenario defines its own pods, horizon and faults, and "
+        "writes only its --export-json report",
+    )
     catalog = fleet_catalog(seed=args.seed, quick=args.quick_fleet)
     if args.fleet == "list":
         for name, fleet in catalog.items():
@@ -589,14 +569,69 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.shards is not None and args.fleet is None:
-        raise ConfigurationError("--shards requires --fleet")
-    if args.quick_fleet and args.fleet is None:
-        raise ConfigurationError("--quick-fleet requires --fleet")
+def _scenario_from_args(
+    args: argparse.Namespace, given: Sequence[str]
+) -> Scenario:
+    """The one run that the scenario flags of run, diagnose and trace name."""
+    if args.scenario is None:
+        return ExperimentConfig(
+            environment=args.environment,
+            composition=args.composition,
+            duration_s=args.duration,
+            seed=args.seed,
+            clients=args.clients,
+            scale=args.scale,
+            traffic=args.traffic,
+            rate_rps=args.rate,
+            session_budget=args.session_budget,
+            controller=args.controller,
+            servers=args.servers,
+            placement=args.placement,
+            faults=args.faults,
+            engine=args.engine,
+            trace_sample=args.trace_sample,
+        ).to_scenario()
+    # A catalogue entry fully describes its workload, traffic, shape and
+    # faults, so flags that would silently conflict with it are
+    # rejected instead of dropped.
+    scenario_flags = vars(_scenario_flags().parse_args([]))
+    _reject(
+        [
+            dest
+            for dest in given
+            if dest in scenario_flags and dest not in _COMPOSE_WITH_SCENARIO
+        ],
+        "--scenario",
+        "the catalogue entry defines its own workload, traffic, shape and "
+        "faults",
+    )
+    catalog = scenario_catalog(
+        duration_s=args.duration, seed=args.seed, clients=args.clients
+    )
+    if args.scenario not in catalog:
+        raise ConfigurationError(
+            f"unknown scenario {args.scenario!r}; "
+            "see `repro run --list` for the catalogue"
+        )
+    spec = catalog[args.scenario]
+    if args.controller != "none":
+        spec = with_controller(spec, args.controller)
+    spec = with_engine(spec, args.engine)
+    if args.trace_sample:
+        # Tracing observes the run without perturbing it, so the name
+        # stays unsuffixed.
+        spec = replace(spec, trace_sample=args.trace_sample)
+    return spec
+
+
+def _cmd_run(args: argparse.Namespace, given: Sequence[str]) -> int:
     if args.fleet is not None:
-        return _cmd_fleet(args)
-    if args.list_scenarios:
+        return _cmd_fleet(args, given)
+    if args.shards is not None:
+        raise ConfigurationError("--shards requires --fleet")
+    if args.quick_fleet:
+        raise ConfigurationError("--quick-fleet requires --fleet")
+    if args.list:
         catalog = scenario_catalog(duration_s=args.duration, seed=args.seed)
         for name, spec in catalog.items():
             kind = "open-loop" if spec.open_loop else "closed-loop"
@@ -617,93 +652,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "trace exports require --trace-sample > 0"
         )
-    if args.scenario is not None:
-        # A catalogue entry fully describes its traffic and shaping, so
-        # flags that would silently conflict with it are rejected
-        # instead of dropped.
-        conflicting = {
-            "--environment": args.environment != "virtualized",
-            "--composition": args.composition != "browsing",
-            "--traffic": args.traffic != "closed",
-            "--scale": args.scale != 1.0,
-            "--rate": args.rate is not None,
-            "--session-budget": args.session_budget is not None,
-            "--servers": args.servers != 1,
-            "--placement": args.placement is not None,
-            "--faults": args.faults is not None,
-        }
-        rejected = [flag for flag, given in conflicting.items() if given]
-        if rejected:
-            raise ConfigurationError(
-                f"--scenario is incompatible with {', '.join(rejected)}; "
-                "the catalogue entry defines its own workload, traffic "
-                "and shape"
-            )
-        catalog = scenario_catalog(
-            duration_s=args.duration, seed=args.seed, clients=args.clients
-        )
-        if args.scenario not in catalog:
-            raise ConfigurationError(
-                f"unknown scenario {args.scenario!r}; "
-                "see `repro run --list` for the catalogue"
-            )
-        spec = catalog[args.scenario]
-        if args.controller != "none":
-            # Swap (or attach) the policy while keeping the catalogue
-            # entry's capacity bands and thresholds — and rename the
-            # run to match, following the factories' convention, so a
-            # PID run never reports under a "_static" label.
-            from dataclasses import replace as _replace
-
-            from repro.control.spec import ControllerSpec
-
-            if spec.controller is not None:
-                controller = _replace(spec.controller, kind=args.controller)
-                name = spec.name
-                if name.endswith("_static"):
-                    name = name[: -len("_static")]
-                if args.controller == "static":
-                    name += "_static"
-            else:
-                controller = ControllerSpec.from_kind(args.controller)
-                name = f"{spec.name}@{args.controller}"
-            spec = _replace(spec, name=name, controller=controller)
-    else:
-        config = ExperimentConfig(
-            environment=args.environment,
-            composition=args.composition,
-            duration_s=args.duration,
-            seed=args.seed,
-            clients=args.clients,
-            scale=args.scale,
-            traffic=args.traffic,
-            rate_rps=args.rate,
-            session_budget=args.session_budget,
-            controller=(
-                None if args.controller == "none" else args.controller
-            ),
-            servers=args.servers,
-            placement=args.placement,
-            faults=args.faults,
-            engine=args.engine,
-            trace_sample=args.trace_sample,
-            collect_full_registry=args.columnar,
-        )
-        spec = config.to_scenario()
-    if args.scenario is not None and args.engine != "classic":
-        # The engine composes with catalogue entries: same workload,
-        # same shape, array-native execution.
-        from dataclasses import replace as _replace
-
-        spec = _replace(
-            spec, name=f"{spec.name}%{args.engine}", engine=args.engine
-        )
-    if args.scenario is not None and args.trace_sample > 0.0:
-        # Tracing composes with catalogue entries too: it observes the
-        # run without perturbing it, so the name stays unsuffixed.
-        from dataclasses import replace as _replace
-
-        spec = _replace(spec, trace_sample=args.trace_sample)
+    spec = _scenario_from_args(args, given)
     if spec.open_loop:
         if spec.traffic.kind == "trace" and spec.traffic.rate_rps is None:
             # The replay rate comes from the trace file, not the mix.
@@ -927,29 +876,16 @@ def _split_axis(text: str) -> list:
     return [token.strip() for token in text.split(",") if token.strip()]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, given: Sequence[str]) -> int:
     if args.grid is not None:
         # Presets define their own axes; reject flags that would
         # otherwise be silently dropped.
-        overridden = {
-            "--environments": args.environments != "virtualized",
-            "--compositions": args.compositions != "browsing",
-            "--traffics": args.traffics != "closed",
-            "--scales": args.scales != "1",
-            "--tenant-mixes": args.tenant_mixes != "none",
-            "--controllers": args.controllers != "none",
-            "--servers": args.servers != "1",
-            "--placement": args.placement is not None,
-            "--placements": args.placements is not None,
-            "--faults": args.faults != "none",
-        }
-        rejected = [flag for flag, given in overridden.items() if given]
-        if rejected:
-            raise ConfigurationError(
-                f"--grid {args.grid} is incompatible with "
-                f"{', '.join(rejected)}; presets define their own axes "
-                "(omit --grid to build a custom grid)"
-            )
+        _reject(
+            [dest for dest in given if dest not in _PRESET_READS],
+            f"--grid {args.grid}",
+            "presets define their own axes (omit --grid to build a "
+            "custom grid)",
+        )
     engines = _split_axis(args.engines)
     if args.grid == "paper":
         runs = paper_matrix_suite(
@@ -974,14 +910,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         placements = None
         if args.placements is not None:
-            placements = _split_axis(args.placements)
-            known = ("firstfit", "bestfit", "balance", "priority")
-            for token in placements:
-                if token not in known:
-                    raise ConfigurationError(
-                        f"unknown placement policy {token!r}; "
-                        f"choose from {list(known)}"
-                    )
+            placements = [
+                validate_placement_policy(token)
+                for token in _split_axis(args.placements)
+            ]
         mixes = []
         for token in _split_axis(args.tenant_mixes):
             if token not in TENANT_MIXES:
@@ -1051,46 +983,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        conflicting = {
-            "--environment": args.environment != "virtualized",
-            "--composition": args.composition != "browsing",
-            "--controller": args.controller != "none",
-            "--servers": args.servers != 1,
-            "--placement": args.placement is not None,
-            "--faults": args.faults is not None,
-        }
-        rejected = [flag for flag, given in conflicting.items() if given]
-        if rejected:
-            raise ConfigurationError(
-                f"--scenario is incompatible with {', '.join(rejected)}; "
-                "the catalogue entry defines its own workload and faults"
-            )
-        catalog = scenario_catalog(
-            duration_s=args.duration, seed=args.seed, clients=args.clients
-        )
-        if args.scenario not in catalog:
-            raise ConfigurationError(
-                f"unknown scenario {args.scenario!r}; "
-                "see `repro run --list` for the catalogue"
-            )
-        spec = catalog[args.scenario]
-    else:
-        config = ExperimentConfig(
-            environment=args.environment,
-            composition=args.composition,
-            duration_s=args.duration,
-            seed=args.seed,
-            clients=args.clients,
-            controller=(
-                None if args.controller == "none" else args.controller
-            ),
-            servers=args.servers,
-            placement=args.placement,
-            faults=args.faults,
-        )
-        spec = config.to_scenario()
+def _cmd_diagnose(args: argparse.Namespace, given: Sequence[str]) -> int:
+    spec = _scenario_from_args(args, given)
     print(
         f"diagnosing {spec.name}: {spec.duration_s:.0f}s simulated ...",
         file=sys.stderr,
@@ -1120,51 +1014,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from dataclasses import replace as _replace
-
-    if args.sample <= 0.0 or args.sample > 1.0:
+def _cmd_trace(args: argparse.Namespace, given: Sequence[str]) -> int:
+    if not 0.0 < args.trace_sample <= 1.0:
         raise ConfigurationError("--sample must be in (0, 1]")
-    if args.scenario is not None:
-        conflicting = {
-            "--environment": args.environment != "virtualized",
-            "--composition": args.composition != "browsing",
-            "--faults": args.faults is not None,
-        }
-        rejected = [flag for flag, given in conflicting.items() if given]
-        if rejected:
-            raise ConfigurationError(
-                f"--scenario is incompatible with {', '.join(rejected)}; "
-                "the catalogue entry defines its own workload and faults"
-            )
-        catalog = scenario_catalog(
-            duration_s=args.duration, seed=args.seed, clients=args.clients
-        )
-        if args.scenario not in catalog:
-            raise ConfigurationError(
-                f"unknown scenario {args.scenario!r}; "
-                "see `repro run --list` for the catalogue"
-            )
-        spec = catalog[args.scenario]
-        if args.engine != "classic":
-            spec = _replace(
-                spec, name=f"{spec.name}%{args.engine}", engine=args.engine
-            )
-    else:
-        config = ExperimentConfig(
-            environment=args.environment,
-            composition=args.composition,
-            duration_s=args.duration,
-            seed=args.seed,
-            clients=args.clients,
-            faults=args.faults,
-            engine=args.engine,
-        )
-        spec = config.to_scenario()
-    spec = _replace(spec, trace_sample=args.sample)
+    spec = _scenario_from_args(args, given)
     print(
         f"tracing {spec.name}: {spec.duration_s:.0f}s simulated at "
-        f"sample rate {args.sample:g} ...",
+        f"sample rate {args.trace_sample:g} ...",
         file=sys.stderr,
     )
     result = run_scenario(spec)
@@ -1192,7 +1048,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     runs = {}
-    for environment in ("virtualized", "bare-metal"):
+    for environment in ENVIRONMENTS:
         for composition in ("browsing", "bidding"):
             spec = scenario(
                 environment,
@@ -1219,21 +1075,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "diagnose":
-        return _cmd_diagnose(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "compare":
         return _cmd_compare(args)
     if args.command == "table1":
         print(render_table1())
         return 0
-    raise AssertionError(f"unhandled command {args.command!r}")
+    # The flags this command line moved off the subcommand's defaults,
+    # in declaration order: each path rejects the ones it would drop.
+    defaults = vars(parser.parse_args([args.command]))
+    given = [
+        dest for dest, value in vars(args).items() if value != defaults[dest]
+    ]
+    command = {
+        "run": _cmd_run,
+        "sweep": _cmd_sweep,
+        "diagnose": _cmd_diagnose,
+        "trace": _cmd_trace,
+    }[args.command]
+    return command(args, given)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

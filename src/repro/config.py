@@ -1,9 +1,15 @@
 """Declarative experiment configuration.
 
 :class:`ExperimentConfig` is the serializable description of one run —
-what the CLI and batch scripts consume, and what gets stored next to
-exported traces so a result is always reproducible from its sidecar.
+what the CLI, suites and shard pods consume, and what gets stored next
+to exported traces so a result is always reproducible from its sidecar.
 Round-trips through plain dicts (and therefore JSON).
+
+It is a front end, not a second spec: its fields are the CLI's tokens
+(``"poisson"``, ``"crash@60"``, ``"pid"``), and :meth:`to_scenario`
+parses them into the :class:`~repro.experiments.scenarios.Scenario`
+that validates the run.  Construction builds that scenario once, so a
+bad config fails at construction with the scenario's own message.
 """
 
 from __future__ import annotations
@@ -12,20 +18,18 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.control.spec import CONTROLLER_KINDS, ControllerSpec
 from repro.errors import ConfigurationError
 from repro.faults.spec import FaultSchedule
 from repro.experiments.scenarios import (
-    ENGINES,
-    ENVIRONMENTS,
-    VIRTUALIZED,
     Scenario,
     default_duration_s,
     open_loop_scenario,
     scenario,
+    with_controller,
+    with_engine,
 )
-from repro.placement.spec import FleetSpec, validate_placement_policy
-from repro.rubis.workload import PAPER_COMPOSITIONS
+from repro.placement.spec import FleetSpec
+from repro.plaindata import from_plain_dict
 from repro.traffic.spec import TrafficSpec
 from repro.workloads.base import TenantSpec
 
@@ -80,91 +84,24 @@ class ExperimentConfig:
     #: Request-trace sampling rate in [0, 1]; 0 disables tracing (and
     #: keeps bit-identical traces — see :mod:`repro.obs.tracing`).
     trace_sample: float = 0.0
-    collect_full_registry: bool = False
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Deserialized tenants arrive as plain dicts; normalize to the
-        # hashable spec tuple so equality and round-trips hold.
+        # Deserialized tenants and fleet specs arrive as plain dicts;
+        # normalize to the hashable specs so equality and round-trips
+        # hold.
         coerced = tuple(
             entry if isinstance(entry, TenantSpec) else TenantSpec.from_dict(entry)
             for entry in self.tenants
         )
         object.__setattr__(self, "tenants", coerced)
-        if self.tenants and self.environment != VIRTUALIZED:
-            raise ConfigurationError(
-                "tenants require the virtualized environment"
-            )
-        if self.environment not in ENVIRONMENTS:
-            raise ConfigurationError(
-                f"unknown environment {self.environment!r}; "
-                f"choose from {ENVIRONMENTS}"
-            )
-        if self.composition not in PAPER_COMPOSITIONS:
-            raise ConfigurationError(
-                f"unknown composition {self.composition!r}; known: "
-                f"{sorted(PAPER_COMPOSITIONS)}"
-            )
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
-        if self.clients is not None and self.clients < 1:
-            raise ConfigurationError("clients must be >= 1")
-        if self.scale <= 0:
-            raise ConfigurationError("scale must be positive")
-        if self.rate_rps is not None and self.rate_rps <= 0:
-            raise ConfigurationError("rate_rps must be positive")
-        if self.controller not in (None, "none") + CONTROLLER_KINDS:
-            raise ConfigurationError(
-                f"unknown controller {self.controller!r}; choose from "
-                f"{('none',) + CONTROLLER_KINDS}"
-            )
-        if (
-            self.controller not in (None, "none")
-            and self.environment != VIRTUALIZED
-        ):
-            raise ConfigurationError(
-                "controllers require the virtualized environment"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise ConfigurationError(
-                f"trace_sample {self.trace_sample} outside [0, 1]"
-            )
-        if self.servers < 1:
-            raise ConfigurationError("servers must be >= 1")
-        if self.servers > 1 and self.environment != VIRTUALIZED:
-            raise ConfigurationError(
-                "multi-server fleets require the virtualized environment"
-            )
-        if self.placement is not None:
-            validate_placement_policy(self.placement)
         if self.fleet is not None and not isinstance(self.fleet, FleetSpec):
             object.__setattr__(self, "fleet", FleetSpec.from_dict(self.fleet))
-        if self.fleet is not None:
-            if self.servers < 2:
-                raise ConfigurationError(
-                    "a fleet controller needs servers >= 2"
-                )
-            if self.environment != VIRTUALIZED:
-                raise ConfigurationError(
-                    "fleet controllers require the virtualized environment"
-                )
-        # Parse the fault token eagerly so bad schedules fail at
-        # construction, and reject faults outside the virtualized
-        # environment (injectors actuate hypervisor state).
-        if self.fault_schedule() is not None:
-            if self.environment != VIRTUALIZED:
-                raise ConfigurationError(
-                    "fault injection requires the virtualized environment"
-                )
-        # Validate the traffic token eagerly so bad configs fail at
-        # construction, not at run time.
         if self.traffic_spec() is None:
             # Closed loop: reject open-loop-only knobs instead of
-            # silently running at a different offered load.
+            # silently running at a different offered load.  A
+            # closed-loop scenario has no traffic spec to carry them,
+            # so only the config can tell.
             if self.rate_rps is not None:
                 raise ConfigurationError(
                     "rate_rps requires an open-loop --traffic kind "
@@ -174,6 +111,9 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "session_budget requires an open-loop --traffic kind"
                 )
+        # Every other check belongs to the scenario and the specs it is
+        # built from, so a bad config fails here, not at run time.
+        self.to_scenario()
 
     # -- scenario construction ------------------------------------------
 
@@ -222,12 +162,8 @@ class ExperimentConfig:
                 spec, name=f"{spec.name}+{names}", tenants=self.tenants
             )
         if self.controller not in (None, "none"):
-            spec = replace(
-                spec,
-                name=f"{spec.name}@{self.controller}",
-                controller=ControllerSpec.from_kind(self.controller),
-            )
-        if self.servers > 1:
+            spec = with_controller(spec, self.controller)
+        if self.servers != 1:  # a bad count reaches the scenario's check
             spec = replace(
                 spec,
                 name=f"{spec.name}/s{self.servers}",
@@ -247,13 +183,11 @@ class ExperimentConfig:
                 name=f"{spec.name}!{schedule.as_cli_string()}",
                 faults=schedule,
             )
-        if self.engine != "classic":
-            spec = replace(
-                spec, name=f"{spec.name}%{self.engine}", engine=self.engine
-            )
-        if self.trace_sample > 0.0:
+        spec = with_engine(spec, self.engine)
+        if self.trace_sample:
             # Tracing never changes the physics, so the name is kept
-            # unsuffixed — but the cache key includes the rate.
+            # unsuffixed — but the cache key includes the rate, and an
+            # out-of-range rate reaches the scenario's check.
             spec = replace(spec, trace_sample=self.trace_sample)
         return spec
 
@@ -273,32 +207,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - {
-            "environment",
-            "composition",
-            "duration_s",
-            "seed",
-            "clients",
-            "scale",
-            "traffic",
-            "rate_rps",
-            "session_budget",
-            "tenants",
-            "controller",
-            "servers",
-            "placement",
-            "fleet",
-            "faults",
-            "engine",
-            "trace_sample",
-            "collect_full_registry",
-            "metadata",
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"unknown configuration keys: {sorted(unknown)}"
-            )
-        return cls(**data)
+        return from_plain_dict(cls, data, "configuration")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -306,6 +215,4 @@ class ExperimentConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigurationError("configuration JSON must be an object")
         return cls.from_dict(data)

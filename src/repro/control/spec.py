@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Tuple
 
 from repro.errors import ConfigurationError
+from repro.plaindata import from_plain_dict
 from repro.units import SAMPLE_PERIOD_S
 
 STATIC = "static"
@@ -194,17 +195,4 @@ class ControllerSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ControllerSpec":
         """Reconstruct from a plain dict (config deserialization)."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"controller spec must be an object, got {type(data).__name__}"
-            )
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown controller spec keys: {sorted(unknown)}"
-            )
-        payload = dict(data)
-        if "domains" in payload:
-            payload["domains"] = tuple(payload["domains"])
-        return cls(**payload)
+        return from_plain_dict(cls, data, "controller spec")

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Tuple
 
@@ -36,6 +35,7 @@ from repro.experiments.scenarios import (
     Scenario,
     open_loop_scenario,
     scenario,
+    with_engine,
 )
 from repro.traffic.spec import TrafficSpec
 
@@ -73,7 +73,7 @@ def baseline_scenarios(engine: str = "classic") -> Dict[str, Scenario]:
             duration_s=BASELINE_DURATION_S,
             seed=BASELINE_SEED,
         )
-        cells[f"{environment}/{composition}"] = _with_engine(spec, engine)
+        cells[f"{environment}/{composition}"] = with_engine(spec, engine)
     traffic = TrafficSpec.from_cli_string(
         "poisson", rate_rps=BASELINE_OPEN_RATE_RPS
     )
@@ -84,14 +84,8 @@ def baseline_scenarios(engine: str = "classic") -> Dict[str, Scenario]:
         seed=BASELINE_SEED,
         traffic=traffic,
     )
-    cells["virtualized/browsing/poisson"] = _with_engine(open_spec, engine)
+    cells["virtualized/browsing/poisson"] = with_engine(open_spec, engine)
     return cells
-
-
-def _with_engine(spec: Scenario, engine: str) -> Scenario:
-    if engine == "classic":
-        return spec
-    return replace(spec, name=f"{spec.name}%{engine}", engine=engine)
 
 
 def result_fingerprint(result) -> str:

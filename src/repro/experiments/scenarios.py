@@ -20,10 +20,10 @@ duration so short runs exhibit the same qualitative pattern:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.control.spec import ControllerSpec
+from repro.control.spec import STATIC, ControllerSpec
 from repro.errors import ConfigurationError
 from repro.faults.spec import FLASH_CROWD, CRASH, CAP_THEFT, FaultSchedule, FaultSpec
 from repro.placement.spec import (
@@ -217,38 +217,16 @@ class Scenario:
     def cache_key(self) -> tuple:
         """Full behavioural fingerprint of the run this describes.
 
-        Covers every field that changes the run's traces: the mix
-        (including its burst schedules), the traffic spec, the scale
-        knob and the tenant set — so memoized results can never be
-        served across scenarios that would simulate differently.
+        One entry per field, in declaration order, with the mix (whose
+        burst schedules are a dict) reduced to its own hashable key —
+        so memoized results can never be served across scenarios that
+        would simulate differently, and a new field is covered the
+        moment it is declared.
         """
-        bursts = tuple(
-            sorted(
-                (kind.value, sched.count, sched.window_s, sched.fraction)
-                for kind, sched in self.mix.burst_schedules.items()
-            )
-        )
-        return (
-            self.name,
-            self.environment,
-            self.mix.name,
-            self.mix.browse_fraction,
-            self.mix.clients,
-            self.mix.think_time_s,
-            bursts,
-            self.duration_s,
-            self.seed,
-            self.ramp_s,
-            self.traffic,
-            self.scale,
-            self.tenants,
-            self.controller,
-            self.servers,
-            self.placement,
-            self.fleet,
-            self.faults,
-            self.engine,
-            self.trace_sample,
+        return tuple(
+            self.mix.cache_key if spec_field.name == "mix"
+            else getattr(self, spec_field.name)
+            for spec_field in fields(self)
         )
 
     @property
@@ -260,6 +238,39 @@ class Scenario:
     def faulted(self) -> bool:
         """True when a fault schedule is injected into this scenario."""
         return self.faults is not None
+
+
+def with_engine(spec: Scenario, engine: str) -> Scenario:
+    """``spec`` on the ``engine`` request engine, named ``<name>%<engine>``.
+
+    Classic is the untagged default, so it returns ``spec`` unchanged.
+    """
+    if engine == CLASSIC_ENGINE:
+        return spec
+    return replace(spec, name=f"{spec.name}%{engine}", engine=engine)
+
+
+def with_controller(spec: Scenario, kind: str) -> Scenario:
+    """``spec`` under the ``kind`` elastic-control policy.
+
+    A scenario that already carries a controller keeps its capacity
+    bands and thresholds and swaps only the policy, renamed by the
+    factories' ``_static`` convention, so a PID run never reports under
+    a ``_static`` label.  Otherwise a default-band controller is
+    attached and the name gains ``@<kind>``.
+    """
+    if spec.controller is None:
+        return replace(
+            spec,
+            name=f"{spec.name}@{kind}",
+            controller=ControllerSpec.from_kind(kind),
+        )
+    name = spec.name.removesuffix("_static")
+    if kind == STATIC:
+        name += "_static"
+    return replace(
+        spec, name=name, controller=replace(spec.controller, kind=kind)
+    )
 
 
 def _burst_schedules(

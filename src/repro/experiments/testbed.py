@@ -1,23 +1,26 @@
 """Testbed assembly: from a declarative scenario to live workloads.
 
 The :class:`TestbedBuilder` is the consolidation layer between the
-scenario vocabulary and the simulated hardware:
+scenario vocabulary and the simulated hardware.  It has two build
+paths, plus the paper's bare-metal testbed:
 
-* a **single-tenant** scenario (no ``tenants``) assembles exactly the
-  paper's testbed — the calibrated
-  :class:`~repro.rubis.deployment.VirtualizedDeployment` or
-  :class:`~repro.rubis.deployment.BareMetalDeployment` with its private
-  server(s) — via the same construction path the pre-refactor runner
-  used, so existing scenarios keep bit-identical traces;
-* a **multi-tenant** scenario builds one shared
+* a **single-server** virtualized scenario builds one
   :class:`~repro.virt.hypervisor.Hypervisor` first, attaches the web
-  VMs to it, then creates one extra domain per
-  :class:`~repro.workloads.base.TenantSpec` and wires the tenant's
-  workload (e.g. MapReduce) into that VM's
+  VMs to it (the calibrated
+  :class:`~repro.rubis.deployment.VirtualizedDeployment`), then creates
+  one extra domain per :class:`~repro.workloads.base.TenantSpec` and
+  wires the tenant's workload (e.g. MapReduce) into that VM's
   :class:`~repro.apps.tier.VirtualizedContext`.  All tenants share the
   physical cores through the credit scheduler and the dom0 block/net
   backends — the two interference channels the consolidation scenarios
-  measure.
+  measure.  With no tenants this is exactly the paper's testbed, with
+  bit-identical traces;
+* a **multi-server** scenario places every VM through the
+  :class:`~repro.placement.engine.PlacementEngine`, one hypervisor per
+  server;
+* a **bare-metal** scenario assembles the calibrated
+  :class:`~repro.rubis.deployment.BareMetalDeployment` with its private
+  servers.
 
 The resulting :class:`Testbed` owns workload lifecycles and the probe
 set (web/db, dom0, one namespace per tenant) the trace recorder
@@ -273,16 +276,11 @@ class TestbedBuilder:
         engine = None
         if scenario.multi_server:
             deployment, hypervisor, engine = self._build_fleet(scenario)
-        elif scenario.tenants:
+        elif scenario.environment == VIRTUALIZED:
             deployment, hypervisor = self._build_shared_server(scenario)
         else:
-            deployment = build_deployment(
-                self.sim,
-                self.streams,
-                scenario.environment,
-                vcpu_contention=scenario.controlled,
-            )
-            hypervisor = getattr(deployment, "hypervisor", None)
+            deployment = build_deployment(self.sim, self.streams, BARE_METAL)
+            hypervisor = None
         web = RubisWorkload(
             self.sim,
             self.streams,

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.plaindata import from_plain_dict
 
 CRASH = "crash"
 DEGRADE_DISK = "degrade_disk"
@@ -215,16 +216,7 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fault spec must be an object, got {type(data).__name__}"
-            )
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault spec keys: {sorted(unknown)}"
-            )
-        return cls(**data)
+        return from_plain_dict(cls, data, "fault spec")
 
 
 @dataclass(frozen=True)
@@ -241,11 +233,18 @@ class ResolvedFault:
 class FaultSchedule:
     """The ordered set of faults one scenario injects."""
 
-    faults: Tuple[FaultSpec, ...]
+    faults: Tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.faults, tuple):
-            object.__setattr__(self, "faults", tuple(self.faults))
+        # Deserialized schedules arrive as lists of plain dicts.
+        object.__setattr__(
+            self,
+            "faults",
+            tuple(
+                FaultSpec.from_dict(fault) if isinstance(fault, dict) else fault
+                for fault in self.faults
+            ),
+        )
         if not self.faults:
             raise ConfigurationError(
                 "a fault schedule needs at least one fault"
@@ -310,18 +309,4 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSchedule":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fault schedule must be an object, got "
-                f"{type(data).__name__}"
-            )
-        unknown = set(data) - {"faults"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault schedule keys: {sorted(unknown)}"
-            )
-        return cls(
-            faults=tuple(
-                FaultSpec.from_dict(entry) for entry in data.get("faults", ())
-            )
-        )
+        return from_plain_dict(cls, data, "fault schedule")

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.plaindata import from_plain_dict
 from repro.units import MB, SAMPLE_PERIOD_S
 
 FIRST_FIT = "firstfit"
@@ -177,16 +178,7 @@ class FleetSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fleet spec must be an object, got {type(data).__name__}"
-            )
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fleet spec keys: {sorted(unknown)}"
-            )
-        return cls(**data)
+        return from_plain_dict(cls, data, "fleet spec")
 
 
 def validate_placement_policy(policy: str) -> str:

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List
 
 from repro.errors import ConfigurationError
+from repro.plaindata import from_plain_dict
 from repro.planning.cost import CostModel
 
 
@@ -57,16 +58,7 @@ class BudgetSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "BudgetSpec":
         """Reconstruct from a plain dict (fleet-scenario shipping)."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"budget spec must be an object, got {type(data).__name__}"
-            )
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown budget spec keys: {sorted(unknown)}"
-            )
-        return cls(**data)
+        return from_plain_dict(cls, data, "budget spec")
 
 
 @dataclass(frozen=True)

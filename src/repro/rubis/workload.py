@@ -16,7 +16,7 @@ RAM to process those backlogged requests").
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Dict, Tuple
 
 import numpy as np
@@ -85,6 +85,21 @@ class WorkloadMix:
         if rng.uniform() < self.browse_fraction:
             return SessionType.BROWSE
         return SessionType.BID
+
+    @property
+    def cache_key(self) -> tuple:
+        """Hashable key over every field, burst schedules sorted by type."""
+        bursts = tuple(
+            sorted(
+                (kind.value,) + astuple(schedule)
+                for kind, schedule in self.burst_schedules.items()
+            )
+        )
+        return tuple(
+            bursts if spec_field.name == "burst_schedules"
+            else getattr(self, spec_field.name)
+            for spec_field in fields(self)
+        )
 
     def burst_schedule(self, session_type: SessionType) -> BurstSchedule:
         return self.burst_schedules.get(session_type, BurstSchedule())

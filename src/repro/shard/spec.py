@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.experiments.suite import derive_run_seed
+from repro.plaindata import from_plain_dict
 from repro.planning.budget import BudgetSpec
 
 #: Lockstep window length must be a multiple of the 2 s trace sampling
@@ -84,17 +85,7 @@ class OptimizerSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerSpec":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"optimizer spec must be an object, "
-                f"got {type(data).__name__}"
-            )
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown optimizer spec keys: {sorted(unknown)}"
-            )
-        return cls(**data)
+        return from_plain_dict(cls, data, "optimizer spec")
 
 
 @dataclass(frozen=True)
@@ -210,14 +201,4 @@ class FleetScenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetScenario":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fleet scenario must be an object, "
-                f"got {type(data).__name__}"
-            )
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fleet scenario keys: {sorted(unknown)}"
-            )
-        return cls(**data)
+        return from_plain_dict(cls, data, "fleet scenario")

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from repro.control.spec import ControllerSpec
 from repro.errors import ConfigurationError
 from repro.monitoring.probes import Probe
+from repro.plaindata import from_plain_dict
 
 #: Workload kinds a TenantSpec may name.
 RUBIS = "rubis"
@@ -175,14 +176,4 @@ class TenantSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "TenantSpec":
         """Reconstruct from a plain dict (config deserialization)."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"tenant spec must be an object, got {type(data).__name__}"
-            )
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown tenant spec keys: {sorted(unknown)}"
-            )
-        return cls(**data)
+        return from_plain_dict(cls, data, "tenant spec")

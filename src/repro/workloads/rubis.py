@@ -58,19 +58,16 @@ class RubisWorkload(Workload):
             SessionType.BID: bidding_matrix(),
         }
         traffic = scenario.traffic
-        batched = getattr(scenario, "engine", "classic") == "batched"
+        batched = scenario.batched
         self.meter: Optional[ArrivalMeter] = None
         self.tracer = None
-        trace_sample = float(getattr(scenario, "trace_sample", 0.0) or 0.0)
-        if trace_sample > 0.0:
+        if scenario.trace_sample > 0.0:
             # Deferred import: tracing lives in repro.obs, which is not
             # an import-time dependency of the workload layer.
             from repro.obs.tracing import RequestTracer
 
             self.tracer = RequestTracer(
-                scenario.seed,
-                trace_sample,
-                "batched" if batched else "classic",
+                scenario.seed, scenario.trace_sample, scenario.engine
             )
         if traffic is not None and traffic.open_loop:
             if batched:

@@ -1,19 +1,27 @@
 """Unit tests for scenarios, the runner, figures and tables."""
 
+from dataclasses import fields, replace
+
 import pytest
 
+from repro.control.spec import ControllerSpec
 from repro.errors import ConfigurationError
 from repro.experiments.figures import FIGURE_DEFS, figure, render_figure
 from repro.experiments.runner import run_scenario_cached
 from repro.experiments.scenarios import (
     BARE_METAL,
     VIRTUALIZED,
+    Scenario,
     default_duration_s,
     paper_scenarios,
     scenario,
 )
 from repro.experiments.tables import render_table1, table1_rows
-from repro.rubis.workload import SessionType
+from repro.faults.spec import FaultSchedule, FaultSpec
+from repro.placement.spec import FleetSpec
+from repro.rubis.workload import BurstSchedule, SessionType, WorkloadMix
+from repro.traffic.spec import TrafficSpec
+from repro.workloads import TenantSpec
 
 
 class TestScenarios:
@@ -184,3 +192,63 @@ class TestTable1:
         text = render_table1()
         assert "518" in text
         assert "Table 1" in text
+
+
+#: For every Scenario field, a valid value other than the base's.  A
+#: field declared without an entry here fails the coverage test below.
+_SCENARIO_ALTERNATES = {
+    "name": "other",
+    "environment": BARE_METAL,
+    "mix": WorkloadMix("browsing", 1.0, clients=10),
+    "duration_s": 61.0,
+    "seed": 43,
+    "ramp_s": 5.0,
+    "traffic": TrafficSpec(kind="poisson"),
+    "scale": 2.0,
+    "tenants": (TenantSpec(),),
+    "controller": ControllerSpec(),
+    "servers": 2,
+    "placement": "priority",
+    "fleet": FleetSpec(),
+    "faults": FaultSchedule((FaultSpec(kind="crash", at_s=10.0),)),
+    "engine": "batched",
+    "trace_sample": 0.5,
+}
+
+_MIX_ALTERNATES = {
+    "name": "other",
+    "browse_fraction": 0.5,
+    "think_time_s": 3.0,
+    "clients": 10,
+    "burst_schedules": {SessionType.BID: BurstSchedule(1, (1.0, 2.0))},
+}
+
+
+class TestCacheKeyCoverage:
+    @pytest.mark.parametrize("name", [f.name for f in fields(Scenario)])
+    def test_every_scenario_field_changes_the_key(self, name):
+        base = scenario(VIRTUALIZED, "browsing", duration_s=60.0)
+        if name == "fleet":
+            base = replace(base, servers=2)  # a fleet needs two servers
+        changed = replace(base, **{name: _SCENARIO_ALTERNATES[name]})
+        assert changed.cache_key != base.cache_key
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(WorkloadMix)])
+    def test_every_mix_field_changes_the_key(self, name):
+        base = scenario(VIRTUALIZED, "browsing", duration_s=60.0)
+        mix = replace(base.mix, **{name: _MIX_ALTERNATES[name]})
+        assert mix.cache_key != base.mix.cache_key
+        assert replace(base, mix=mix).cache_key != base.cache_key
+
+    def test_burst_order_does_not_change_the_key(self):
+        browse = BurstSchedule(2, (10.0, 20.0))
+        bid = BurstSchedule(1, (5.0, 6.0))
+        mix = WorkloadMix("blend", 0.5)
+        forward = mix.with_bursts(
+            {SessionType.BROWSE: browse, SessionType.BID: bid}
+        )
+        backward = mix.with_bursts(
+            {SessionType.BID: bid, SessionType.BROWSE: browse}
+        )
+        assert forward.cache_key == backward.cache_key
+        assert hash(forward.cache_key) == hash(backward.cache_key)

@@ -1,9 +1,16 @@
 """Tests for the experiment configuration and the CLI."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+import repro.cli
 from repro.cli import main
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
@@ -136,6 +143,26 @@ class TestExperimentConfig:
     def test_faults_require_virtualized(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(environment="bare-metal", faults="crash@60")
+
+    def test_scenario_validates_the_config(self):
+        # The config raises the scenario's own message, at construction.
+        with pytest.raises(
+            ConfigurationError, match="elastic controllers require"
+        ):
+            ExperimentConfig(environment="bare-metal", controller="pid")
+        with pytest.raises(ConfigurationError, match="flash_crowd fault"):
+            ExperimentConfig(faults="flash_crowd@10")
+
+    def test_out_of_range_tokens_rejected(self):
+        for bad in (
+            {"servers": 0},
+            {"trace_sample": -0.5},
+            {"clients": 0},
+            {"scale": -1.0},
+            {"controller": "bang-bang"},
+        ):
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig(**bad)
 
 
 class TestCli:
@@ -343,3 +370,136 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["teleport"])
+
+
+#: One invocation per way of describing a run: built from flags, and a
+#: catalogue entry on another engine.  20 s at 60 clients keeps each
+#: under a second.
+_SHAPES = {
+    "flags": (
+        [
+            "--controller", "threshold",
+            "--faults", "cap_theft@10:5:0.2/web-vm",
+            "--engine", "batched",
+        ],
+        "virtualized/browsing@threshold!cap_theft@10:5:0.2/web-vm%batched",
+    ),
+    "scenario": (
+        ["--scenario", "consolidated_web_batch", "--engine", "batched"],
+        "consolidated_web_batch%batched",
+    ),
+}
+_BANNERS = {"run": "running", "diagnose": "diagnosing", "trace": "tracing"}
+
+
+class _Resolved(Exception):
+    """Raised in place of a run once the CLI has resolved its scenario."""
+
+
+class TestOneResolver:
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    @pytest.mark.parametrize("command", sorted(_BANNERS))
+    def test_single_run_commands_run_and_name_the_scenario(
+        self, capsys, command, shape
+    ):
+        flags, name = _SHAPES[shape]
+        argv = [command, *flags, "--duration", "20", "--clients", "60"]
+        if command == "run":
+            argv.append("--no-report")
+        assert main(argv) == 0
+        assert f"{_BANNERS[command]} {name}:" in capsys.readouterr().err
+
+    def test_scenario_conflicts_rejected_alike(self):
+        messages = set()
+        for command in sorted(_BANNERS):
+            with pytest.raises(ConfigurationError, match="--servers") as info:
+                main([
+                    command, "--scenario", "consolidated_web_batch",
+                    "--servers", "2",
+                ])
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (
+                ["--scenario", "consolidated_web_batch", "--controller", "pid"],
+                "consolidated_web_batch@pid",
+            ),
+            (
+                [
+                    "--scenario", "autoscaled_flash_crowd_static",
+                    "--controller", "threshold", "--engine", "batched",
+                ],
+                "autoscaled_flash_crowd%batched",
+            ),
+            (
+                ["--servers", "2", "--placement", "balance",
+                 "--faults", "crash@9"],
+                "virtualized/browsing/s2!crash@9",
+            ),
+            (
+                ["--traffic", "poisson", "--rate", "50", "--scale", "2"],
+                "virtualized/browsing/open-poisson",
+            ),
+        ],
+    )
+    def test_commands_resolve_the_same_scenario(
+        self, monkeypatch, flags, name
+    ):
+        resolved = []
+
+        def resolve_only(spec, **kwargs):
+            resolved.append(spec)
+            raise _Resolved
+
+        monkeypatch.setattr(repro.cli, "run_scenario", resolve_only)
+        for command in sorted(_BANNERS):
+            with pytest.raises(_Resolved):
+                main([command, *flags, "--trace-sample", "0.1"])
+        assert [spec.name for spec in resolved] == [name] * 3
+        assert resolved[0] == resolved[1] == resolved[2]
+
+
+class TestFleetRejectsUnreadFlags:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--export-traces", "traces.jsonl"],
+            ["--export-annotations", "annotations.jsonl"],
+            ["--export-columnar", "columns.npz"],
+            ["--list"],
+            ["--slo-ms", "50"],
+        ],
+        ids=lambda extra: extra[0],
+    )
+    def test_flag_named_in_the_error(self, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError, match=re.escape(extra[0])):
+            main(["run", "--fleet", "list", *extra])
+        assert not list(tmp_path.iterdir())
+
+    def test_fleet_reads_seed_and_quick_fleet(self, capsys):
+        assert main(["run", "--fleet", "list", "--seed", "3",
+                     "--quick-fleet"]) == 0
+        assert "two-pod" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    def test_user_error_prints_one_line_and_exits_2(self):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                     if p]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--scenario", "nope"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        lines = completed.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: unknown scenario 'nope'")
