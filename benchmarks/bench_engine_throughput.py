@@ -6,16 +6,18 @@ browsing scenario with the complete 518-metric registry sampled every
 and metrics/s through the telemetry pipeline — into ``extra_info`` so
 the BENCH trajectory tracks regressions.
 
-Two supporting microbenchmarks isolate the layers: a pure event-loop
-run (periodic processes only, no application logic) and a
-cancellation-heavy run that exercises the lazy-deletion + compaction
-path of the event queue.
+Three supporting microbenchmarks isolate the layers: a pure event-loop
+run (periodic processes only, no application logic), a closed-loop
+event-loop run (thinking timers and the hops each wake fires, no
+application logic), and a cancellation-heavy run that exercises the
+lazy-deletion + compaction path of the event queue.
 
 Quick mode: set ``REPRO_BENCH_QUICK=1`` to shrink the horizons so the
 whole file runs in a few seconds (the CI smoke configuration).
 """
 
 import os
+import random
 import time
 from dataclasses import replace
 
@@ -245,6 +247,49 @@ def test_pure_event_loop_throughput(benchmark):
     benchmark.extra_info["events_per_s"] = round(events / elapsed)
     print(f"\npure loop: {events / elapsed:,.0f} events/s")
     assert events > 0
+
+
+def test_closed_loop_event_loop_throughput(benchmark):
+    """Engine-only closed loop: thinking timers, six hops per wake.
+
+    The event shape of the classic request path with no application
+    logic: each of N timers thinks for an exponential ~7 s, wakes, and
+    fires six millisecond hops before thinking again.  The think timers
+    wait in the event queue's far tier while the hops sift through a
+    heap sized by the next second's work, so a far-tier regression
+    shows here as a drop in events/s.
+    """
+    timers = 2_000 if QUICK else 5_000
+    horizon = 30.0 if QUICK else 240.0
+
+    def run():
+        sim = Simulator()
+        rng = random.Random(7)
+        expovariate = rng.expovariate
+        schedule = sim.schedule
+
+        def wake(hops_left):
+            if hops_left:
+                schedule(expovariate(1000.0), wake, hops_left - 1)
+            else:
+                schedule(expovariate(1.0 / 7.0), wake, 6)
+
+        for _ in range(timers):
+            schedule(rng.uniform(0.0, 10.0), wake, 6)
+        start = time.perf_counter()
+        sim.run_until(horizon)
+        return sim.events_fired, time.perf_counter() - start
+
+    events, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.extra_info["timers"] = timers
+    benchmark.extra_info["horizon_s"] = horizon
+    benchmark.extra_info["events_fired"] = events
+    benchmark.extra_info["events_per_s"] = round(events / elapsed)
+    print(
+        f"\nclosed loop, {timers} timers: {events:,} events "
+        f"-> {events / elapsed:,.0f} events/s"
+    )
+    assert events > timers * 7
 
 
 def test_cancellation_heavy_throughput(benchmark):

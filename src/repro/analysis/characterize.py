@@ -2,8 +2,9 @@
 
 ``characterize_trace_set`` runs the full Section-4 analysis pipeline on
 one run's traces: per-series summary statistics and best-fit marginal
-distribution, RAM jump detection per entity, the web->db lag, and —
-when the trace set contains a dom0 entity — the R1/R2 ratio vectors.
+distribution, RAM jump detection per entity, the web->db lag and the R1
+ratio vector (each left None when its inputs are constant or zero), and
+— when the trace set contains a dom0 entity — the R2 ratio vector.
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.analysis.changepoint import LevelShift, detect_level_shifts
 from repro.analysis.correlation import LagEstimate, estimate_lag
 from repro.analysis.distribution_fit import DistributionFit, best_fit
 from repro.analysis.ratios import (
     DEFAULT_WARMUP_S,
     ResourceVector,
+    demand_vector,
     tier_ratios,
     vm_to_hypervisor_ratios,
 )
@@ -103,15 +107,24 @@ def characterize_trace_set(
         else:
             result.ram_jumps[entity] = []
 
+    # The lag and R1 stay None when their inputs carry no signal: a
+    # constant CPU series has no correlation peak, and a tier with zero
+    # demand leaves R1 undefined (an open-loop run of one-request visits
+    # never reaches the database).
     web_cpu = traces.get("web", "cpu_cycles").without_warmup(warmup_s)
     db_cpu = traces.get("db", "cpu_cycles").without_warmup(warmup_s)
     max_lag = min(LAG_MAX_SAMPLES, max(1, len(web_cpu) // 4))
-    if len(web_cpu) > max_lag + 1:
+    if (
+        len(web_cpu) > max_lag + 1
+        and np.ptp(web_cpu.values) > 0
+        and np.ptp(db_cpu.values) > 0
+    ):
         result.web_db_lag = estimate_lag(
             web_cpu, db_cpu, max_lag, traces.sample_period_s
         )
 
-    result.tier_ratio = tier_ratios(traces, warmup_s)
+    if all(demand_vector(traces, "db", warmup_s).as_dict().values()):
+        result.tier_ratio = tier_ratios(traces, warmup_s)
     if traces.has("dom0", "cpu_cycles"):
         result.vm_dom0_ratio = vm_to_hypervisor_ratios(traces, warmup_s)
     return result

@@ -87,9 +87,10 @@ class QueueingStation:
         self._busy = 0
         self.stats = StationStats()
         self._window_peak = 0
-        # In-service jobs by token: [job, done_fn, event, finish_time].
-        # Tracked so a capacity change (the stop-and-copy pause of a
-        # live migration) can re-scale remaining service mid-flight.
+        # In-service jobs by token: [job, done_fn, event]; the event
+        # handle's time slot is the finish time.  Tracked so a capacity
+        # change (the stop-and-copy pause of a live migration) can
+        # re-scale remaining service mid-flight.
         self._in_flight: dict = {}
         self._next_token = 0
 
@@ -136,9 +137,7 @@ class QueueingStation:
             sim = self.sim
             token = self._next_token = self._next_token + 1
             self._in_flight[token] = [
-                job, done_fn,
-                sim.schedule(duration, self._complete, token),
-                sim.now + duration,
+                job, done_fn, sim.schedule(duration, self._complete, token),
             ]
             return
         queue.append((job, service_fn, done_fn, self.sim.now))
@@ -188,9 +187,7 @@ class QueueingStation:
             stats.total_service_s += duration
             token = self._next_token = self._next_token + 1
             self._in_flight[token] = [
-                job, done_fn,
-                sim.schedule(duration, self._complete, token),
-                sim.now + duration,
+                job, done_fn, sim.schedule(duration, self._complete, token),
             ]
 
     def rescale_in_flight(self, factor: float) -> int:
@@ -216,14 +213,13 @@ class QueueingStation:
         stats = self.stats
         rescaled = 0
         for token, entry in self._in_flight.items():
-            remaining = entry[3] - now
+            remaining = entry[2][0] - now
             if remaining <= 0.0:
                 # Completing at this very timestamp: let it land.
                 continue
             sim.cancel(entry[2])
             stretched = remaining * factor
             entry[2] = sim.schedule(stretched, self._complete, token)
-            entry[3] = now + stretched
             stats.total_service_s += stretched - remaining
             rescaled += 1
         return rescaled

@@ -183,9 +183,15 @@ class Dom0SaturateInjector(Injector):
 
 
 class _BotSession:
-    """Minimal session shim: the request path reads ``session_id``."""
+    """Minimal session shim: the request path reads ``session_id``.
+
+    A bot is a one-request visit, so its one request is the first of
+    its visit (``requests_sent``, which request tracing reads).
+    """
 
     __slots__ = ("session_id",)
+
+    requests_sent = 1
 
     def __init__(self, session_id: int) -> None:
         self.session_id = session_id

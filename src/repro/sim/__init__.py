@@ -1,9 +1,12 @@
 """Discrete-event simulation kernel (substrate S1).
 
-This package is a small, self-contained DES engine: a binary-heap event
-queue with stable FIFO ordering for ties, a simulator clock, cancellable
-events, periodic processes, named deterministic random streams, and a set
-of service-time distribution samplers.
+This package is a small, self-contained DES engine: a two-tier event
+queue (a binary heap for events due within half a second, unsorted
+half-second buckets for later ones) with stable FIFO ordering for ties,
+a simulator clock, cancellable events whose handle is the plain heap
+entry ``[time, priority, seq, fn, args]``, periodic processes, named
+deterministic random streams, and a set of service-time distribution
+samplers.
 
 Everything above it in the library (hardware, hypervisor, RUBiS tiers,
 monitoring) is driven by this engine.

@@ -9,9 +9,9 @@ numpy column arrays.  This module holds the engine-agnostic pieces:
 * :class:`FcfsPool` — a c-server FCFS station over arrival/duration
   arrays with a vectorized no-queue fast path and an exact heap
   fallback, carrying worker state across drains,
-* :func:`bulk_cancel` — cancel a batch of heap events through the
-  queue's lazy-deletion bookkeeping (the pattern the compaction
-  property test exercises),
+* :func:`bulk_cancel` — cancel a batch of events through
+  ``Simulator.cancel`` (the pattern the compaction property test
+  exercises),
 * :data:`DRAIN_PRIORITY` / :data:`DRAIN_INTERVAL_S` — where the drain
   tick sits in the event ordering (after scheduler epochs and
   housekeeping at a shared timestamp, before the 2 s samplers).
@@ -207,18 +207,16 @@ class FcfsPool:
 
 
 def bulk_cancel(sim, events: Iterable) -> int:
-    """Cancel a batch of scheduled events through the queue bookkeeping.
+    """Cancel a batch of scheduled events; return how many were pending.
 
     The batched engine replaces thousands of per-session think timers
     with array state, but burst waves and driver teardown still cancel
-    heap events in bulk.  Routing every cancellation through
-    ``Simulator.cancel`` keeps the queue's live/dead accounting exact —
-    which is what triggers (and is verified by) heap compaction under
-    cancellation-heavy load.  Returns the number of events cancelled.
+    events in bulk.  Every cancellation goes through
+    ``Simulator.cancel``, the engine's only cancellation path, so the
+    queue's dead-entry count stays exact -- which is what triggers (and
+    is verified by) compaction under cancellation-heavy load.  ``None``
+    handles and events already cancelled are skipped.
     """
-    cancelled = 0
-    for event in events:
-        if event is not None and not event.cancelled:
-            sim.cancel(event)
-            cancelled += 1
-    return cancelled
+    return sum(
+        1 for event in events if event is not None and sim.cancel(event)
+    )

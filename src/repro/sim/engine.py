@@ -17,7 +17,12 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import DEFAULT_PRIORITY, Event, EventQueue
+from repro.sim.events import (
+    BUCKET_WIDTH_S,
+    DEFAULT_PRIORITY,
+    Event,
+    EventQueue,
+)
 
 
 class Simulator:
@@ -55,24 +60,20 @@ class Simulator:
     ) -> Event:
         """Schedule ``fn(*args)`` after ``delay`` seconds from now.
 
-        The body mirrors :meth:`EventQueue.push` rather than calling it:
-        this is the single hottest API of the engine (one call per
-        scheduled event), and the delegation frame was measurable.
+        Returns the event handle, for :meth:`cancel`.  The body mirrors
+        :meth:`EventQueue.push` rather than calling it: this is the
+        hottest API of the engine (one call per scheduled event), and
+        the delegation frame was measurable.
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule {delay:.6f}s in the past")
         queue = self._queue
-        event = Event.__new__(Event)
-        event.time = time = self.now + delay
-        event.priority = priority
-        event.seq = seq = next(queue._counter)
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        event._noted = False
-        heappush(queue._heap, (time, priority, seq, event))
-        queue._live += 1
-        return event
+        entry = [self.now + delay, priority, next(queue._counter), fn, args]
+        if delay > BUCKET_WIDTH_S:
+            queue._defer(entry)
+        else:
+            heappush(queue._heap, entry)
+        return entry
 
     def schedule_at(
         self,
@@ -86,13 +87,28 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule at t={time:.6f} before now={self.now:.6f}"
             )
-        return self._queue.push(time, fn, args, priority)
+        return self._queue.push(time, fn, args, priority, self.now)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
-        if not event.cancelled:
-            event.cancel()
-            self._queue.note_cancelled(event)
+    def cancel(self, event: Event) -> bool:
+        """Cancel a scheduled event; True if it was still pending.
+
+        The only way to cancel.  Idempotent: cancelling a cancelled
+        event returns False and changes nothing.  The entry's ``fn``
+        slot is cleared and the entry stays stored until it surfaces;
+        once dead entries outnumber the live ones (and
+        ``EventQueue.COMPACT_MIN_DEAD``), the queue is compacted.  A
+        handle must not be cancelled after its event fired: holders
+        drop it in the callback.
+        """
+        if event[3] is None:
+            return False
+        event[3] = None
+        queue = self._queue
+        queue._dead += 1
+        dead = queue._dead
+        if dead > queue.COMPACT_MIN_DEAD and dead > len(queue):
+            queue.compact()
+        return True
 
     # -- execution -------------------------------------------------------
 
@@ -100,14 +116,15 @@ class Simulator:
         """Execute the next event.  Returns False if none remained."""
         if not self._queue:
             return False
-        event = self._queue.pop()
-        if event.time < self.now:
+        entry = self._queue.pop()
+        time = entry[0]
+        if time < self.now:
             raise SimulationError(
-                f"event queue yielded t={event.time} before now={self.now}"
+                f"event queue yielded t={time} before now={self.now}"
             )
-        self.now = event.time
+        self.now = time
         self._events_fired += 1
-        event.fn(*event.args)
+        entry[3](*entry[4])
         return True
 
     def run_until(self, end_time: float) -> None:
@@ -123,43 +140,41 @@ class Simulator:
             )
         self._running = True
         self._stopped = False
-        # Hot path: the pop is inlined (mirroring EventQueue.pop_ready,
-        # including its live/dead bookkeeping) and the fired counter is
-        # kept in a local synced on exit, so each event costs one heap
-        # pop plus the callback.  The heap reference is re-read per
-        # event because a callback may trigger a compaction.
+        # Hot path: the pop is inlined (mirroring EventQueue._head) and
+        # the fired counter is kept in a local synced on exit, so each
+        # event costs one heap pop, one edge compare plus the callback.
+        # The edge is re-read per event because a callback may open an
+        # earlier bucket; the heap list never changes identity.
         queue = self._queue
+        heap = queue._heap
         fired = self._events_fired
         try:
             while not self._stopped:
-                heap = queue._heap
-                event = None
-                while heap:
+                if heap:
                     entry = heap[0]
-                    candidate = entry[3]
-                    if candidate.cancelled:
-                        heappop(heap)
-                        if candidate._noted:
-                            queue._dead -= 1
-                        else:
-                            queue._live -= 1
+                    time = entry[0]
+                    if time >= queue._next_edge:
+                        queue._migrate()
                         continue
-                    if entry[0] > end_time:
+                    if time > end_time:
                         break
                     heappop(heap)
-                    queue._live -= 1
-                    event = candidate
+                    fn = entry[3]
+                    if fn is None:
+                        queue._dead -= 1
+                        continue
+                elif queue._keys:
+                    queue._migrate()
+                    continue
+                else:
                     break
-                if event is None:
-                    break
-                time = event.time
                 if time < self.now:
                     raise SimulationError(
                         f"event queue yielded t={time} before now={self.now}"
                     )
                 self.now = time
                 fired += 1
-                event.fn(*event.args)
+                fn(*entry[4])
         finally:
             self._events_fired = fired
             self._running = False

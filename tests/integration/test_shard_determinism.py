@@ -11,6 +11,10 @@ The sharding contract has three legs:
    re-implements it.
 3. **Fail-fast liveness.**  A shard that stops heartbeating fails the
    run within the deadline, naming the shard and its server groups.
+
+A pinned merged fingerprint of a small datacenter fleet guards the
+event order itself: its hypervisors tie on ``(time, priority)`` at every
+epoch, so a change to the queue's tie-breaking moves it.
 """
 
 import os
@@ -26,6 +30,7 @@ from repro.shard import (
     FleetScenario,
     PodSpec,
     ShardTimeoutError,
+    datacenter_fleet,
     fleet_optimizer_demo,
     fleet_optimizer_demo_watch,
     run_fleet,
@@ -88,6 +93,16 @@ class TestShardCountInvariance:
             for shards in (1, 2, 4)
         }
         assert len(set(fingerprints.values())) == 1
+
+
+class TestPinnedFleetFingerprint:
+    def test_datacenter_fleet_merged_sha_pinned(self):
+        # Four epochs plus housekeeping tie at every tick.
+        fleet = datacenter_fleet(seed=42, pods=2, duration_s=60.0)
+        result = run_fleet(fleet, shards=1)
+        assert result.merged_sha256 == (
+            "2332613d4767f39d5a1a560d87012bbbcaaa3b7122a0c4f9a8ed46128f54eb36"
+        )
 
 
 class TestEngineEquivalence:

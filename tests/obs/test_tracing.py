@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.experiments.baseline import result_fingerprint
 from repro.experiments.runner import run_scenario
@@ -25,6 +26,7 @@ from repro.experiments.scenarios import scenario
 from repro.monitoring.export import (
     request_traces_to_chrome_json,
     request_traces_to_jsonl,
+    trace_set_sha256,
 )
 from repro.obs.tracing import (
     RequestTracer,
@@ -210,6 +212,19 @@ class TestPhysicsUnperturbed:
         )
         assert traced.request_traces
         assert result_fingerprint(traced) == result_fingerprint(untraced)
+
+    def test_classic_bot_flood_traced_run_keeps_trace_sha(self):
+        # Bot sessions are one-request visits; the tracer must sample
+        # them without touching the physics.
+        base = ExperimentConfig(
+            duration_s=30.0, clients=100, faults="bot_flood@10:10"
+        ).to_scenario()
+        untraced = run_scenario(base)
+        traced = run_scenario(replace(base, trace_sample=0.05))
+        assert traced.request_traces
+        assert trace_set_sha256(traced.traces) == trace_set_sha256(
+            untraced.traces
+        )
 
     def test_zero_rate_collects_nothing(self):
         base = scenario(

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SchedulingError
-from repro.sim.events import Event, EventQueue
+from repro.sim.engine import Simulator
+from repro.sim.events import BUCKET_WIDTH_S as W, EventQueue
 
 
 def _noop():
@@ -17,9 +18,9 @@ class TestEventOrdering:
         q.push(2.0, _noop)
         q.push(1.0, _noop)
         q.push(3.0, _noop)
-        assert q.pop().time == 1.0
-        assert q.pop().time == 2.0
-        assert q.pop().time == 3.0
+        assert q.pop()[0] == 1.0
+        assert q.pop()[0] == 2.0
+        assert q.pop()[0] == 3.0
 
     def test_ties_fire_in_scheduling_order(self):
         q = EventQueue()
@@ -27,8 +28,8 @@ class TestEventOrdering:
         for i in range(5):
             q.push(1.0, order.append, (i,))
         while q:
-            event = q.pop()
-            event.fn(*event.args)
+            entry = q.pop()
+            entry[3](*entry[4])
         assert order == [0, 1, 2, 3, 4]
 
     def test_priority_breaks_ties_before_sequence(self):
@@ -37,6 +38,16 @@ class TestEventOrdering:
         second = q.push(1.0, _noop, priority=5)
         assert q.pop() is second
         assert q.pop() is first
+
+    def test_ties_across_tiers_fire_in_scheduling_order(self):
+        # The first entry waits in a bucket, the second goes straight on
+        # the heap; equal (time, priority) still pops by sequence.
+        q = EventQueue()
+        far = q.push(10 * W, _noop, now=0.0)
+        near = q.push(10 * W, _noop, now=9.5 * W)
+        assert q._buckets and len(q._heap) == 1
+        assert q.pop() is far
+        assert q.pop() is near
 
     @given(
         st.lists(
@@ -49,8 +60,34 @@ class TestEventOrdering:
         q = EventQueue()
         for t in times:
             q.push(t, _noop)
-        popped = [q.pop().time for _ in range(len(times))]
+        popped = [q.pop()[0] for _ in range(len(times))]
         assert popped == sorted(times)
+
+
+class TestTiers:
+    def test_due_within_one_width_goes_on_the_heap(self):
+        q = EventQueue()
+        q.push(W, _noop, now=0.0)
+        assert len(q._heap) == 1 and not q._buckets
+
+    def test_due_later_waits_in_its_bucket(self):
+        q = EventQueue()
+        q.push(3.5 * W, _noop, now=0.0)
+        assert not q._heap
+        assert list(q._buckets) == [3.0]
+        assert q._next_edge == 3.0 * W
+
+    def test_bucket_moves_in_when_the_heap_reaches_its_edge(self):
+        q = EventQueue()
+        q.push(3.5 * W, _noop, now=0.0)
+        q.push(3.0 * W, _noop, now=2.5 * W)  # on the heap, on the edge
+        assert q.pop()[0] == 3.0 * W
+        assert not q._buckets and q._next_edge == float("inf")
+        assert q.pop()[0] == 3.5 * W
+
+    def test_infinite_time_rejected(self):
+        with pytest.raises(SchedulingError):
+            EventQueue().push(float("inf"), _noop)
 
 
 class TestEventQueueBookkeeping:
@@ -58,7 +95,7 @@ class TestEventQueueBookkeeping:
         q = EventQueue()
         assert len(q) == 0
         q.push(1.0, _noop)
-        q.push(2.0, _noop)
+        q.push(20.0, _noop)
         assert len(q) == 2
         q.pop()
         assert len(q) == 1
@@ -75,26 +112,31 @@ class TestEventQueueBookkeeping:
             q.pop()
 
     def test_cancelled_events_are_skipped(self):
-        q = EventQueue()
-        victim = q.push(1.0, _noop)
-        survivor = q.push(2.0, _noop)
-        victim.cancel()
-        q.note_cancelled(victim)
+        sim = Simulator()
+        q = sim._queue
+        victim = sim.schedule_at(1.0, _noop)
+        survivor = sim.schedule_at(2.0, _noop)
+        sim.cancel(victim)
         assert len(q) == 1
         assert q.pop() is survivor
 
-    def test_note_cancelled_requires_cancelled_event(self):
-        q = EventQueue()
-        event = q.push(1.0, _noop)
-        with pytest.raises(SchedulingError):
-            q.note_cancelled(event)
+    def test_cancelled_bucket_entries_are_dropped_on_move(self):
+        sim = Simulator()
+        q = sim._queue
+        victim = sim.schedule(10.2 * W, _noop)
+        survivor = sim.schedule(10.4 * W, _noop)
+        sim.cancel(victim)
+        assert q.dead_entries == 1
+        assert q.pop() is survivor
+        assert q.dead_entries == 0
+        assert len(q) == 0
 
     def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        victim = q.push(1.0, _noop)
-        q.push(5.0, _noop)
-        victim.cancel()
-        q.note_cancelled(victim)
+        sim = Simulator()
+        q = sim._queue
+        victim = sim.schedule_at(1.0, _noop)
+        sim.schedule_at(5.0, _noop)
+        sim.cancel(victim)
         assert q.peek_time() == 5.0
 
     def test_peek_time_empty_returns_none(self):
@@ -103,19 +145,24 @@ class TestEventQueueBookkeeping:
     def test_clear_drops_everything(self):
         q = EventQueue()
         q.push(1.0, _noop)
-        q.push(2.0, _noop)
+        q.push(20.0, _noop)
         q.clear()
         assert len(q) == 0
         assert q.peek_time() is None
+        assert q._next_edge == float("inf")
 
 
 class TestEvent:
     def test_sort_key_structure(self):
-        event = Event(1.5, _noop, (), priority=3, seq=7)
-        assert event.sort_key() == (1.5, 3, 7)
+        q = EventQueue()
+        q.push(0.5, _noop)
+        entry = q.push(1.5, _noop, (), priority=3)
+        assert entry[:3] == [1.5, 3, 1]
+        assert entry[3] is _noop and entry[4] == ()
 
-    def test_cancel_sets_flag(self):
-        event = Event(1.0, _noop)
-        assert not event.cancelled
-        event.cancel()
-        assert event.cancelled
+    def test_cancel_clears_fn_slot(self):
+        sim = Simulator()
+        entry = sim.schedule(1.0, _noop)
+        assert entry[3] is _noop
+        assert sim.cancel(entry) is True
+        assert entry[3] is None

@@ -3,15 +3,15 @@
 The optimized run loop must be observationally identical to the simple
 peek/step formulation the engine started with; these tests pin that
 equivalence plus the event-queue invariants the fast path relies on
-(dead-entry accounting, compaction order preservation, cancellation-
-heavy bookkeeping).
+(dead-entry accounting in both tiers, compaction order preservation,
+cancellation-heavy bookkeeping).
 """
 
 import pytest
 
 from repro.errors import SchedulingError
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
+from repro.sim.events import BUCKET_WIDTH_S as W, EventQueue
 
 
 def _noop():
@@ -93,12 +93,12 @@ class TestRunUntilEquivalence:
 
 class TestHeapCompaction:
     def test_compaction_triggered_by_cancellation_pressure(self):
-        queue = EventQueue()
-        keep = [queue.push(float(i), _noop) for i in range(10)]
-        victims = [queue.push(1000.0 + i, _noop) for i in range(200)]
+        sim = Simulator()
+        queue = sim._queue
+        keep = [sim.schedule_at(float(i), _noop) for i in range(10)]
+        victims = [sim.schedule_at(1000.0 + i, _noop) for i in range(200)]
         for event in victims:
-            event.cancel()
-            queue.note_cancelled(event)
+            sim.cancel(event)
         assert queue.compactions >= 1
         # Invariant: dead entries never exceed the compaction threshold
         # or the live count for long.
@@ -108,69 +108,57 @@ class TestHeapCompaction:
         assert len(queue) == len(keep)
 
     def test_compaction_preserves_time_priority_seq_order(self):
-        queue = EventQueue()
+        sim = Simulator()
+        queue = sim._queue
         events = []
-        # Interleave priorities and ties so ordering is non-trivial.
+        # Interleave priorities and ties so ordering is non-trivial; the
+        # times straddle the bucket width, so both tiers hold entries.
         for i in range(300):
             events.append(
-                queue.push(float(i % 13), _noop, priority=i % 5)
+                sim.schedule_at(float(i % 13), _noop, priority=i % 5)
             )
         for i, event in enumerate(events):
             if i % 2 == 0:
-                event.cancel()
-                queue.note_cancelled(event)
+                sim.cancel(event)
         queue.compact()
+        assert queue.dead_entries == 0
         expected = sorted(
-            (e for e in events if not e.cancelled),
-            key=lambda e: e.sort_key(),
+            (e for e in events if e[3] is not None), key=lambda e: e[:3]
         )
         popped = [queue.pop() for _ in range(len(queue))]
         assert popped == expected
+
+    def test_compaction_drops_emptied_buckets(self):
+        sim = Simulator()
+        queue = sim._queue
+        doomed = [sim.schedule_at(50.5 * W, _noop) for _ in range(100)]
+        survivor = sim.schedule_at(70.5 * W, _noop)
+        for event in doomed:
+            sim.cancel(event)
+        queue.compact()
+        assert queue.dead_entries == 0
+        assert list(queue._buckets) == [70.0]
+        assert queue._next_edge == 70.0 * W
+        assert queue.pop() is survivor
 
     def test_explicit_compact_on_clean_queue_is_safe(self):
         queue = EventQueue()
         queue.push(1.0, _noop)
         queue.compact()
         assert len(queue) == 1
-        assert queue.pop().time == 1.0
+        assert queue.pop()[0] == 1.0
 
 
 class TestCancellationBookkeeping:
-    def test_note_cancelled_is_idempotent(self):
-        queue = EventQueue()
-        queue.push(1.0, _noop)
-        victim = queue.push(2.0, _noop)
-        victim.cancel()
-        queue.note_cancelled(victim)
-        queue.note_cancelled(victim)  # a second holder of the handle
+    def test_cancel_is_idempotent_for_a_second_holder(self):
+        sim = Simulator()
+        queue = sim._queue
+        sim.schedule(1.0, _noop)
+        victim = sim.schedule(2.0, _noop)
+        assert sim.cancel(victim) is True
+        assert sim.cancel(victim) is False  # a second holder of the handle
         assert len(queue) == 1
-
-    def test_unnoted_cancellation_corrects_len_on_discard(self):
-        # Regression: event.cancel() without note_cancelled used to leave
-        # len() overcounting forever.
-        queue = EventQueue()
-        victim = queue.push(1.0, _noop)
-        survivor = queue.push(2.0, _noop)
-        victim.cancel()  # behind the queue's back
-        assert queue.pop() is survivor  # discard fixes the live count
-        assert len(queue) == 0
-
-    def test_unnoted_cancellation_corrected_by_peek(self):
-        queue = EventQueue()
-        victim = queue.push(1.0, _noop)
-        queue.push(5.0, _noop)
-        victim.cancel()
-        assert queue.peek_time() == 5.0
-        assert len(queue) == 1
-
-    def test_unnoted_cancellation_corrected_by_compact(self):
-        queue = EventQueue()
-        victims = [queue.push(float(i), _noop) for i in range(10)]
-        for event in victims:
-            event.cancel()  # never noted
-        queue.compact()
-        assert len(queue) == 0
-        assert queue.peek_time() is None
+        assert queue.dead_entries == 1
 
     def test_cancellation_heavy_workload_drains_clean(self):
         # Burst-wave pattern: re-arm timers constantly, cancelling the
@@ -195,17 +183,17 @@ class TestCancellationBookkeeping:
         queue = EventQueue()
         queue.push(1.0, _noop)
         queue.push(5.0, _noop)
-        assert queue.pop_ready(2.0).time == 1.0
+        assert queue.pop_ready(2.0)[0] == 1.0
         assert queue.pop_ready(2.0) is None
         assert len(queue) == 1  # the 5.0 event was not consumed
-        assert queue.pop_ready(10.0).time == 5.0
+        assert queue.pop_ready(10.0)[0] == 5.0
 
     def test_pop_ready_discards_cancelled_heads(self):
-        queue = EventQueue()
-        victim = queue.push(1.0, _noop)
-        survivor = queue.push(2.0, _noop)
-        victim.cancel()
-        queue.note_cancelled(victim)
+        sim = Simulator()
+        queue = sim._queue
+        victim = sim.schedule_at(1.0, _noop)
+        survivor = sim.schedule_at(2.0, _noop)
+        sim.cancel(victim)
         assert queue.pop_ready(10.0) is survivor
         assert queue.dead_entries == 0
 

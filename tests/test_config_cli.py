@@ -220,6 +220,19 @@ class TestCli:
         assert "shed" in captured.out
         assert "sha256" in captured.out
 
+    def test_run_open_loop_report_with_idle_db(self, capsys):
+        # One-request visits never query the database, so the report
+        # has no web->db lag and no R1 -- and must still render.
+        code = main(
+            ["run", "--traffic", "poisson", "--rate", "500",
+             "--duration", "40"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Workload characterization" in captured.out
+        assert "Inter-tier lag" not in captured.out
+        assert "R2" in captured.out
+
     def test_run_columnar_exports_npz(self, tmp_path, capsys):
         out = tmp_path / "cols.npz"
         code = main(
