@@ -1,9 +1,8 @@
 """Declarative experiment configuration.
 
 :class:`ExperimentConfig` is the serializable description of one run —
-what the CLI, suites and shard pods consume, and what gets stored next
-to exported traces so a result is always reproducible from its sidecar.
-Round-trips through plain dicts (and therefore JSON).
+what the CLI, suites and shard pods consume.  Round-trips through plain
+dicts (and therefore JSON).
 
 It is a front end, not a second spec: its fields are the CLI's tokens
 (``"poisson"``, ``"crash@60"``, ``"pid"``), and :meth:`to_scenario`
@@ -14,15 +13,13 @@ bad config fails at construction with the scenario's own message.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.spec import FaultSchedule
 from repro.experiments.scenarios import (
     Scenario,
-    default_duration_s,
     open_loop_scenario,
     scenario,
     with_controller,
@@ -84,7 +81,6 @@ class ExperimentConfig:
     #: Request-trace sampling rate in [0, 1]; 0 disables tracing (and
     #: keeps bit-identical traces — see :mod:`repro.obs.tracing`).
     trace_sample: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Deserialized tenants and fleet specs arrive as plain dicts;
@@ -191,28 +187,11 @@ class ExperimentConfig:
             spec = replace(spec, trace_sample=self.trace_sample)
         return spec
 
-    @property
-    def effective_duration_s(self) -> float:
-        if self.duration_s is not None:
-            return self.duration_s
-        return default_duration_s()
-
     # -- (de)serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         return from_plain_dict(cls, data, "configuration")
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(data)

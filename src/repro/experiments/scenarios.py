@@ -25,7 +25,14 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.control.spec import STATIC, ControllerSpec
 from repro.errors import ConfigurationError
-from repro.faults.spec import FLASH_CROWD, CRASH, CAP_THEFT, FaultSchedule, FaultSpec
+from repro.faults.spec import (
+    BOT_FLOOD,
+    CAP_THEFT,
+    CRASH,
+    FLASH_CROWD,
+    FaultSchedule,
+    FaultSpec,
+)
 from repro.placement.spec import (
     FIRST_FIT,
     FleetSpec,
@@ -189,6 +196,15 @@ class Scenario:
                 raise ConfigurationError(
                     "a flash_crowd fault composes into an open-loop "
                     "traffic envelope; this scenario is closed-loop"
+                )
+            if self.engine == BATCHED_ENGINE and any(
+                f.kind == BOT_FLOOD for f in self.faults
+            ):
+                # Bots send through the classic request path, while the
+                # batched driver owns the web tier's worker gauge.
+                raise ConfigurationError(
+                    "a bot_flood fault is not supported on the batched "
+                    "engine; run it on the classic engine"
                 )
 
     @property

@@ -68,6 +68,8 @@ from repro.rubis.workload import SessionType, WorkloadMix
 from repro.sim.batched import DRAIN_INTERVAL_S, DRAIN_PRIORITY, FcfsPool, lindley
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
+from repro.traffic.driver import AdmissionLedger
+from repro.units import SAMPLE_PERIOD_S
 from repro.virt.io_backend import DOM0_OWNER
 
 PAGE_BYTES = BufferPool.PAGE_BYTES
@@ -913,14 +915,15 @@ class BatchedClosedDriver:
             physics.end_drain(tick_time)
 
 
-class BatchedOpenDriver:
+class BatchedOpenDriver(AdmissionLedger):
     """Open-loop driver over column arrays.
 
-    Mirrors :class:`~repro.traffic.driver.OpenLoopDriver` counter for
-    counter.  The arrival process is built from the same
-    ``"<stream>.arrivals"`` RNG stream, so offered arrival times are
-    bit-identical to the classic engine; admission, transitions and
-    think times draw from the new ``batched.sessions`` stream.
+    Shares :class:`~repro.traffic.driver.OpenLoopDriver`'s admission
+    ledger, so both engines count and report arrivals alike.  The
+    arrival process is built from the same ``"<stream>.arrivals"`` RNG
+    stream, so offered arrival times are bit-identical to the classic
+    engine; admission, transitions and think times draw from the new
+    ``batched.sessions`` stream.
     """
 
     def __init__(
@@ -933,21 +936,15 @@ class BatchedOpenDriver:
         process,
         session_budget: Optional[int] = None,
         requests_per_session: int = 1,
-        meter_interval_s: Optional[float] = None,
+        meter_interval_s: float = SAMPLE_PERIOD_S,
         retry_max: int = 0,
         retry_backoff_s: float = 2.0,
         tracer=None,
     ) -> None:
-        from repro.traffic.driver import ArrivalMeter
-
-        if session_budget is not None and session_budget < 1:
-            raise ConfigurationError("session_budget must be >= 1")
-        if requests_per_session < 1:
-            raise ConfigurationError("requests_per_session must be >= 1")
-        if retry_max < 0:
-            raise ConfigurationError("retry_max must be >= 0")
-        if retry_backoff_s <= 0:
-            raise ConfigurationError("retry_backoff_s must be positive")
+        super().__init__(
+            process, session_budget, requests_per_session, meter_interval_s,
+            retry_max, retry_backoff_s,
+        )
         self.sim = sim
         self.mix = mix
         self.rng = streams.stream("batched.sessions")
@@ -955,28 +952,10 @@ class BatchedOpenDriver:
             sim, deployment, streams.stream("batched.demand"), tracer=tracer
         )
         self.tracer = tracer
-        self.process = process
-        self.session_budget = session_budget
-        self.requests_per_session = int(requests_per_session)
-        self.retry_max = int(retry_max)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.stats = SessionStats()
-        if meter_interval_s is None:
-            self.meter = ArrivalMeter()
-        else:
-            self.meter = ArrivalMeter(interval_s=meter_interval_s)
         self.walks = (
             _MatrixWalk(matrices[SessionType.BROWSE], self.physics.table),
             _MatrixWalk(matrices[SessionType.BID], self.physics.table),
         )
-        self.arrivals_offered = 0
-        self.arrivals_admitted = 0
-        self.arrivals_shed = 0
-        self.arrivals_retried = 0
-        self.arrivals_abandoned = 0
-        self.sessions_completed = 0
-        self._in_flight = 0
-        self._started = False
         # Session slots (SoA with a free list).
         capacity = 64
         self.wake = np.full(capacity, np.inf)
@@ -993,48 +972,6 @@ class BatchedOpenDriver:
         self._pending_arrival: Optional[float] = None
         self._retries: List[tuple] = []  # (due_time, attempt)
         self._drain_process: Optional[PeriodicProcess] = None
-
-    # -- driver surface shared with OpenLoopDriver -------------------------
-
-    def active_session_count(self) -> int:
-        return self._in_flight
-
-    def set_session_budget(self, session_budget: Optional[int]) -> None:
-        if session_budget is not None and session_budget < 1:
-            raise ConfigurationError("session_budget must be >= 1")
-        self.session_budget = session_budget
-
-    @property
-    def throughput_estimate(self) -> float:
-        return self.process.rate_rps
-
-    @property
-    def shed_fraction(self) -> float:
-        if self.arrivals_offered == 0:
-            return 0.0
-        return self.arrivals_shed / self.arrivals_offered
-
-    @property
-    def abandonment_fraction(self) -> float:
-        if self.arrivals_offered == 0:
-            return 0.0
-        return self.arrivals_abandoned / self.arrivals_offered
-
-    def summary(self) -> dict:
-        return {
-            "offered": self.arrivals_offered,
-            "admitted": self.arrivals_admitted,
-            "shed": self.arrivals_shed,
-            "shed_fraction": self.shed_fraction,
-            "retried": self.arrivals_retried,
-            "abandoned": self.arrivals_abandoned,
-            "abandonment_fraction": self.abandonment_fraction,
-            "sessions_completed": self.sessions_completed,
-            "in_flight": self._in_flight,
-            "session_budget": self.session_budget,
-            "requests_per_session": self.requests_per_session,
-            "nominal_rate_rps": self.process.rate_rps,
-        }
 
     def start(self) -> None:
         if self._started:

@@ -19,7 +19,7 @@ processes receive their pod set as JSON-able payloads.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from repro.config import ExperimentConfig
@@ -126,7 +126,6 @@ class FleetScenario:
     #: message before the run fails fast with a ShardTimeoutError.
     heartbeat_timeout_s: float = 300.0
     description: str = ""
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:

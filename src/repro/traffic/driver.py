@@ -175,22 +175,16 @@ class TransientSession:
             driver._session_done(self)
 
 
-class OpenLoopDriver:
-    """Spawns transient sessions from an arrival process, open-loop.
+class AdmissionLedger:
+    """The open-loop admission accounting both request engines share.
 
-    Drop-in alternative to the closed-loop
-    :class:`~repro.rubis.client.ClientPopulation` on the deployment
-    side: it exposes the same ``stats`` object and the
-    ``active_session_count()`` the memory models consume.
+    Arrival counters, the session budget and the plain-data report of
+    an open-loop driver.  The engine's driver admits, sheds and retries
+    arrivals; this base only counts them.
     """
 
     def __init__(
         self,
-        sim: Simulator,
-        mix: WorkloadMix,
-        send_fn: SendFn,
-        rng: np.random.Generator,
-        matrices: Dict[SessionType, TransitionMatrix],
         process: ArrivalProcess,
         session_budget: Optional[int] = None,
         requests_per_session: int = 1,
@@ -206,11 +200,6 @@ class OpenLoopDriver:
             raise ConfigurationError("retry_max must be >= 0")
         if retry_backoff_s <= 0:
             raise ConfigurationError("retry_backoff_s must be positive")
-        self.sim = sim
-        self.mix = mix
-        self.send_fn = send_fn
-        self.rng = rng
-        self.matrices = matrices
         self.process = process
         self.session_budget = session_budget
         self.requests_per_session = int(requests_per_session)
@@ -233,10 +222,7 @@ class OpenLoopDriver:
         self.arrivals_abandoned = 0
         self.sessions_completed = 0
         self._in_flight = 0
-        self._next_session_id = 0
         self._started = False
-
-    # -- driver surface shared with ClientPopulation ---------------------
 
     def active_session_count(self) -> int:
         """Sessions currently in flight (the open-loop 'population')."""
@@ -257,6 +243,83 @@ class OpenLoopDriver:
     def throughput_estimate(self) -> float:
         """Nominal offered arrivals/s of the configured process."""
         return self.process.rate_rps
+
+    @property
+    def shed_fraction(self) -> float:
+        """Fraction of offered arrivals shed by the session budget."""
+        if self.arrivals_offered == 0:
+            return 0.0
+        return self.arrivals_shed / self.arrivals_offered
+
+    @property
+    def abandonment_fraction(self) -> float:
+        """Fraction of offered arrivals that gave up for good.
+
+        Equals :attr:`shed_fraction` when retries are disabled; with
+        retries it is the stricter user-visible failure rate (a shed
+        visit that got in on retry is delayed, not lost).
+        """
+        if self.arrivals_offered == 0:
+            return 0.0
+        return self.arrivals_abandoned / self.arrivals_offered
+
+    def summary(self) -> dict:
+        """Plain-data overload/throughput report for one run.
+
+        ``offered == admitted + shed`` holds without retries; with
+        retries an arrival can appear in both ``shed`` (its first
+        attempt) and ``admitted`` (a later retry), so ``abandoned``
+        carries the loss accounting.
+        """
+        return {
+            "offered": self.arrivals_offered,
+            "admitted": self.arrivals_admitted,
+            "shed": self.arrivals_shed,
+            "shed_fraction": self.shed_fraction,
+            "retried": self.arrivals_retried,
+            "abandoned": self.arrivals_abandoned,
+            "abandonment_fraction": self.abandonment_fraction,
+            "sessions_completed": self.sessions_completed,
+            "in_flight": self._in_flight,
+            "session_budget": self.session_budget,
+            "requests_per_session": self.requests_per_session,
+            "nominal_rate_rps": self.process.rate_rps,
+        }
+
+
+class OpenLoopDriver(AdmissionLedger):
+    """Spawns transient sessions from an arrival process, open-loop.
+
+    Drop-in alternative to the closed-loop
+    :class:`~repro.rubis.client.ClientPopulation` on the deployment
+    side: it exposes the same ``stats`` object and the
+    ``active_session_count()`` the memory models consume.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        mix: WorkloadMix,
+        send_fn: SendFn,
+        rng: np.random.Generator,
+        matrices: Dict[SessionType, TransitionMatrix],
+        process: ArrivalProcess,
+        session_budget: Optional[int] = None,
+        requests_per_session: int = 1,
+        meter_interval_s: float = SAMPLE_PERIOD_S,
+        retry_max: int = 0,
+        retry_backoff_s: float = 2.0,
+    ) -> None:
+        super().__init__(
+            process, session_budget, requests_per_session, meter_interval_s,
+            retry_max, retry_backoff_s,
+        )
+        self.sim = sim
+        self.mix = mix
+        self.send_fn = send_fn
+        self.rng = rng
+        self.matrices = matrices
+        self._next_session_id = 0
 
     def start(self) -> None:
         """Arm the arrival stream (single-shot: raises on reuse)."""
@@ -322,47 +385,3 @@ class OpenLoopDriver:
     def _session_done(self, session: TransientSession) -> None:
         self._in_flight -= 1
         self.sessions_completed += 1
-
-    # -- reporting ----------------------------------------------------------
-
-    @property
-    def shed_fraction(self) -> float:
-        """Fraction of offered arrivals shed by the session budget."""
-        if self.arrivals_offered == 0:
-            return 0.0
-        return self.arrivals_shed / self.arrivals_offered
-
-    @property
-    def abandonment_fraction(self) -> float:
-        """Fraction of offered arrivals that gave up for good.
-
-        Equals :attr:`shed_fraction` when retries are disabled; with
-        retries it is the stricter user-visible failure rate (a shed
-        visit that got in on retry is delayed, not lost).
-        """
-        if self.arrivals_offered == 0:
-            return 0.0
-        return self.arrivals_abandoned / self.arrivals_offered
-
-    def summary(self) -> dict:
-        """Plain-data overload/throughput report for one run.
-
-        ``offered == admitted + shed`` holds without retries; with
-        retries an arrival can appear in both ``shed`` (its first
-        attempt) and ``admitted`` (a later retry), so ``abandoned``
-        carries the loss accounting.
-        """
-        return {
-            "offered": self.arrivals_offered,
-            "admitted": self.arrivals_admitted,
-            "shed": self.arrivals_shed,
-            "shed_fraction": self.shed_fraction,
-            "retried": self.arrivals_retried,
-            "abandoned": self.arrivals_abandoned,
-            "abandonment_fraction": self.abandonment_fraction,
-            "sessions_completed": self.sessions_completed,
-            "in_flight": self._in_flight,
-            "session_budget": self.session_budget,
-            "requests_per_session": self.requests_per_session,
-            "nominal_rate_rps": self.process.rate_rps,
-        }

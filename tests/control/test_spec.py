@@ -163,7 +163,7 @@ class TestTenantSpecController:
 class TestExperimentConfig:
     def test_controller_token_round_trip(self):
         config = ExperimentConfig(controller="threshold")
-        rebuilt = ExperimentConfig.from_json(config.to_json())
+        rebuilt = ExperimentConfig.from_dict(config.to_dict())
         assert rebuilt.controller == "threshold"
         spec = rebuilt.to_scenario()
         assert spec.controller.kind == "threshold"

@@ -1,5 +1,7 @@
 """Tests for the suite orchestrator: grids, seeds, multiprocess runs."""
 
+import json
+
 import pytest
 
 from repro.config import ExperimentConfig
@@ -169,7 +171,9 @@ class TestConfigTenants:
             duration_s=30.0,
             tenants=(TenantSpec(input_mb=64.0),),
         )
-        clone = ExperimentConfig.from_json(config.to_json())
+        clone = ExperimentConfig.from_dict(
+            json.loads(json.dumps(config.to_dict()))
+        )
         assert clone == config
         assert clone.tenants[0].input_mb == 64.0
 

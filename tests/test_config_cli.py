@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,19 @@ import pytest
 
 import repro
 import repro.cli
+import repro.obs
+import repro.shard
 from repro.cli import main
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
+from repro.experiments.suite import suite_grid
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _json_round_trip(config):
+    """``config`` through its plain dict and JSON text, as workers see it."""
+    return ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
 
 
 class TestExperimentConfig:
@@ -30,9 +41,8 @@ class TestExperimentConfig:
             duration_s=60.0,
             seed=9,
             clients=100,
-            metadata={"note": "smoke"},
         )
-        clone = ExperimentConfig.from_json(config.to_json())
+        clone = _json_round_trip(config)
         assert clone == config
 
     def test_unknown_environment_rejected(self):
@@ -52,26 +62,15 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict({"environment": "virtualized",
                                         "gpu": True})
 
-    def test_invalid_json_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_json("not json")
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_json(json.dumps([1, 2, 3]))
-
     def test_clients_override_propagates(self):
         config = ExperimentConfig(clients=42, duration_s=30.0)
         assert config.to_scenario().mix.clients == 42
-
-    def test_effective_duration_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL_DURATION", raising=False)
-        assert ExperimentConfig().effective_duration_s == 240.0
-        assert ExperimentConfig(duration_s=33.0).effective_duration_s == 33.0
 
     def test_open_loop_traffic_round_trip(self):
         config = ExperimentConfig(
             traffic="poisson", rate_rps=120.0, session_budget=500
         )
-        clone = ExperimentConfig.from_json(config.to_json())
+        clone = _json_round_trip(config)
         assert clone == config
         spec = config.to_scenario()
         assert spec.open_loop
@@ -94,7 +93,7 @@ class TestExperimentConfig:
         config = ExperimentConfig(
             duration_s=40.0, servers=2, placement="priority",
         )
-        clone = ExperimentConfig.from_json(config.to_json())
+        clone = _json_round_trip(config)
         assert clone == config
         spec = config.to_scenario()
         assert spec.servers == 2
@@ -122,7 +121,7 @@ class TestExperimentConfig:
         config = ExperimentConfig(
             duration_s=40.0, servers=2, faults="crash@60+bot_flood@90:15",
         )
-        clone = ExperimentConfig.from_json(config.to_json())
+        clone = _json_round_trip(config)
         assert clone == config
         spec = config.to_scenario()
         assert spec.faulted
@@ -152,6 +151,18 @@ class TestExperimentConfig:
             ExperimentConfig(environment="bare-metal", controller="pid")
         with pytest.raises(ConfigurationError, match="flash_crowd fault"):
             ExperimentConfig(faults="flash_crowd@10")
+
+    def test_bot_flood_rejected_on_batched_engine(self):
+        # Bots send through the classic request path; the batched driver
+        # owns the worker gauge, so the run used to crash at the flood.
+        message = "bot_flood.*batched"
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig(faults="bot_flood@10:10", engine="batched")
+        with pytest.raises(ConfigurationError, match=message):
+            suite_grid(
+                engines=("classic", "batched"), faults=("bot_flood@10:10",)
+            )
+        assert ExperimentConfig(faults="bot_flood@10:10").to_scenario()
 
     def test_out_of_range_tokens_rejected(self):
         for bad in (
@@ -344,6 +355,11 @@ class TestCli:
         with pytest.raises(ConfigurationError):
             main(["sweep", "--tenant-mixes", "gpu-farm", "--duration", "10"])
 
+    @pytest.mark.parametrize("flag", ["--scales", "--servers"])
+    def test_sweep_names_the_axis_of_an_unparsable_token(self, flag):
+        with pytest.raises(ConfigurationError, match=flag):
+            main(["sweep", flag, "1,two"])
+
     def test_run_faults_prints_schedule_report(self, capsys):
         code = main([
             "run", "--faults", "cap_theft@10:10:0.2/web-vm",
@@ -409,6 +425,61 @@ class _Resolved(Exception):
     """Raised in place of a run once the CLI has resolved its scenario."""
 
 
+def _stub_entry_points(monkeypatch) -> list:
+    """Make every run entry point record what it was asked to run, then
+    raise :class:`_Resolved` instead of running it."""
+    resolved = []
+
+    def resolve_only(what, **kwargs):
+        resolved.append(what)
+        raise _Resolved
+
+    for owner, name in (
+        (repro.cli, "run_scenario"),
+        (repro.cli, "run_scenario_cached"),
+        (repro.cli, "run_suite"),
+        (repro.shard, "run_fleet"),
+    ):
+        monkeypatch.setattr(owner, name, resolve_only)
+    return resolved
+
+
+#: Where ``python -m repro`` commands are documented: the README, the
+#: verify skill's recipe and the CI workflow.
+_DOCUMENTED_IN = (
+    "README.md", ".*/skills/verify/SKILL.md", ".github/workflows/ci.yml",
+)
+#: Documented commands that show a user error on purpose.
+_DOCUMENTED_ERRORS = ("run --scenario nope",)
+
+
+def _documented_commands() -> list:
+    """Every documented ``python -m repro`` command line, as an argv.
+
+    Backslash continuations are joined, and so are the option lines that
+    continue a command in a folded YAML block; environment-variable
+    prefixes and trailing comments are dropped.
+    """
+    command = re.compile(
+        r"\s*(?:run:\s*)?(?:\w+=\S*\s+)*python -m repro\b(.*)"
+    )
+    argvs = []
+    for pattern in _DOCUMENTED_IN:
+        (path,) = REPO.glob(pattern)
+        lines = path.read_text().replace("\\\n", " ").splitlines()
+        for index, line in enumerate(lines):
+            match = command.match(line)
+            if match is None:
+                continue
+            text = match.group(1)
+            for follow in lines[index + 1:]:
+                if not follow.strip().startswith("--"):
+                    break
+                text += " " + follow.strip()
+            argvs.append(shlex.split(text, comments=True))
+    return argvs
+
+
 class TestOneResolver:
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
     @pytest.mark.parametrize("command", sorted(_BANNERS))
@@ -461,18 +532,66 @@ class TestOneResolver:
     def test_commands_resolve_the_same_scenario(
         self, monkeypatch, flags, name
     ):
-        resolved = []
-
-        def resolve_only(spec, **kwargs):
-            resolved.append(spec)
-            raise _Resolved
-
-        monkeypatch.setattr(repro.cli, "run_scenario", resolve_only)
+        resolved = _stub_entry_points(monkeypatch)
         for command in sorted(_BANNERS):
             with pytest.raises(_Resolved):
                 main([command, *flags, "--trace-sample", "0.1"])
         assert [spec.name for spec in resolved] == [name] * 3
         assert resolved[0] == resolved[1] == resolved[2]
+
+    def test_documentation_spells_out_commands(self):
+        argvs = _documented_commands()
+        assert len(argvs) >= 40
+        assert {argv[0] for argv in argvs} == {
+            "run", "sweep", "diagnose", "trace", "compare", "table1",
+        }
+
+    @pytest.mark.parametrize("argv", _documented_commands(), ids=" ".join)
+    def test_documented_command_resolves(self, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        resolved = _stub_entry_points(monkeypatch)
+        if " ".join(argv) in _DOCUMENTED_ERRORS:
+            with pytest.raises(ConfigurationError):
+                main(argv)
+            return
+        try:
+            # Catalogue listings and table1 finish without running.
+            assert main(argv) == 0
+        except _Resolved:
+            assert len(resolved) == 1
+        assert not list(tmp_path.iterdir())
+
+
+class TestSingleRunPipeline:
+    def test_diagnose_json_diagnoses_once(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        calls = []
+        real = repro.obs.diagnose
+
+        def counting(result, **kwargs):
+            calls.append(kwargs)
+            return real(result, **kwargs)
+
+        monkeypatch.setattr(repro.obs, "diagnose", counting)
+        out = tmp_path / "diagnosis.json"
+        assert main([
+            "diagnose", "--faults", "crash@10", "--servers", "2",
+            "--duration", "20", "--clients", "60", "--json", str(out),
+        ]) == 0
+        assert len(calls) == 1
+        assert {"manifest", "diagnoses", "grade"} <= set(
+            json.loads(out.read_text())
+        )
+        assert "attribution vs schedule" in capsys.readouterr().out
+
+    def test_profiler_stops_when_the_run_raises(self, monkeypatch, tmp_path):
+        _stub_entry_points(monkeypatch)
+        out = tmp_path / "run.pstats"
+        with pytest.raises(_Resolved):
+            main(["run", "--profile", str(out), "--no-report"])
+        assert sys.getprofile() is None
+        assert not out.exists()
 
 
 class TestFleetRejectsUnreadFlags:
@@ -499,20 +618,33 @@ class TestFleetRejectsUnreadFlags:
         assert "two-pod" in capsys.readouterr().out
 
 
+def _user_error(*argv) -> str:
+    """The one stderr line ``python -m repro`` exits 2 with."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 2
+    assert "Traceback" not in completed.stderr
+    lines = completed.stderr.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
 class TestModuleEntryPoint:
     def test_user_error_prints_one_line_and_exits_2(self):
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
-                     if p]
+        line = _user_error("run", "--scenario", "nope")
+        assert line.startswith("repro: error: unknown scenario 'nope'")
+
+    def test_bot_flood_on_batched_rejected_before_the_run(self):
+        line = _user_error(
+            "run", "--engine", "batched", "--faults", "bot_flood@10:10",
+            "--duration", "30", "--clients", "100", "--no-report",
         )
-        completed = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "--scenario", "nope"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert completed.returncode == 2
-        assert "Traceback" not in completed.stderr
-        lines = completed.stderr.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("repro: error: unknown scenario 'nope'")
+        assert line.startswith("repro: error: a bot_flood fault")
+        assert "batched" in line

@@ -15,7 +15,9 @@ from repro.experiments.scenarios import (
     flash_crowd_scenario,
     open_loop_scenario,
     scenario,
+    with_engine,
 )
+from repro.rubis.batched import BatchedOpenDriver
 from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.spec import TrafficSpec
 
@@ -67,6 +69,17 @@ class TestOpenLoopScenario:
         result = run_scenario(spec)
         offered_rate = result.traffic_report["offered"] / 30.0
         assert offered_rate > 15.0 * CLIENTS / 7.0
+
+    def test_both_engines_keep_one_ledger(self):
+        spec = open_loop_scenario(
+            "virtualized", "browsing", duration_s=20.0, clients=60,
+            session_budget=5,
+        )
+        classic = run_scenario(spec).population
+        batched = run_scenario(with_engine(spec, "batched")).population
+        assert isinstance(classic, OpenLoopDriver)
+        assert isinstance(batched, BatchedOpenDriver)
+        assert classic.summary().keys() == batched.summary().keys()
 
     def test_mix_keeps_burst_schedules_out(self):
         spec = open_loop_scenario(
