@@ -2,8 +2,10 @@
 """Re-pin the per-engine baseline fingerprints.
 
 Runs every baseline cell (the paper's 2x2 closed-loop matrix plus the
-open-loop poisson cell) under both engines and writes their trace
-fingerprints to ``tests/baselines/engine_fingerprints.json``, which
+open-loop poisson cell) under both engines, and the batched path cells
+(faults, a budgeted traced flash crowd, a migrating crash drill) under
+the batched engine, and writes their fingerprints to
+``tests/baselines/engine_fingerprints.json``, which
 ``tests/integration/test_engine_equivalence.py`` enforces.
 
 Run this ONLY when a deliberate RNG-epoch change lands (a new engine, a
@@ -37,6 +39,7 @@ from repro.experiments.baseline import (  # noqa: E402
     BASELINE_SEED,
     FINGERPRINT_PATH,
     fingerprint_engine,
+    fingerprint_paths,
 )
 from repro.experiments.scenarios import ENGINES  # noqa: E402
 
@@ -48,6 +51,18 @@ def compute_document() -> dict:
         "seed": BASELINE_SEED,
         "open_rate_rps": BASELINE_OPEN_RATE_RPS,
         "engines": {engine: fingerprint_engine(engine) for engine in ENGINES},
+        "batched_paths": fingerprint_paths(),
+    }
+
+
+def _cells(document: dict) -> dict:
+    """Every fingerprint of a document, keyed ``"<group> <cell>"``."""
+    groups = dict(document.get("engines", {}))
+    groups["batched_paths"] = document.get("batched_paths", {})
+    return {
+        f"{group} {cell}": fingerprint
+        for group, cells in groups.items()
+        for cell, fingerprint in cells.items()
     }
 
 
@@ -70,20 +85,18 @@ def main() -> int:
         if pinned == document:
             print("fingerprints match the pinned baseline")
             return 0
-        for engine, cells in document["engines"].items():
-            for cell, fingerprint in cells.items():
-                pinned_fp = pinned.get("engines", {}).get(engine, {}).get(cell)
-                if pinned_fp != fingerprint:
-                    print(
-                        f"DRIFT {engine} {cell}: pinned {pinned_fp} "
-                        f"recomputed {fingerprint}",
-                        file=sys.stderr,
-                    )
+        pinned_cells = _cells(pinned)
+        for label, fingerprint in _cells(document).items():
+            if pinned_cells.get(label) != fingerprint:
+                print(
+                    f"DRIFT {label}: pinned {pinned_cells.get(label)} "
+                    f"recomputed {fingerprint}",
+                    file=sys.stderr,
+                )
         return 1
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    print(f"pinned {sum(len(c) for c in document['engines'].values())} "
-          f"fingerprints to {target}")
+    print(f"pinned {len(_cells(document))} fingerprints to {target}")
     return 0
 
 

@@ -18,6 +18,11 @@ This module holds the pieces shared between ``scripts/rebaseline.py``
 (which pins 1 and 2 into ``tests/baselines/engine_fingerprints.json``)
 and ``tests/integration/test_engine_equivalence.py`` (which enforces
 all three).
+
+The paper cells exercise no fault, budget, request trace or migration.
+:func:`path_cells` adds three batched cells that do, pinned for
+self-determinism only: the engines still disagree under contention, so
+they carry no cross-engine bound.
 """
 
 from __future__ import annotations
@@ -30,13 +35,19 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from dataclasses import replace
+
 from repro.experiments.scenarios import (
     ENGINES,
     Scenario,
+    autoscaled_flash_crowd_scenario,
+    detect_and_evacuate_scenario,
+    flash_crowd_window,
     open_loop_scenario,
     scenario,
     with_engine,
 )
+from repro.faults.spec import CAP_THEFT, FaultSchedule, FaultSpec
 from repro.traffic.spec import TrafficSpec
 
 #: Settings of the pinned baseline cells.  Short enough that the full
@@ -88,12 +99,53 @@ def baseline_scenarios(engine: str = "classic") -> Dict[str, Scenario]:
     return cells
 
 
+def path_cells() -> Dict[str, Scenario]:
+    """Batched cells that pin the request paths the paper cells skip.
+
+    * a virtualized browsing run whose NIC and then disk degrade
+      mid-run (device parameters change between drains);
+    * the autoscaled open-loop flash crowd with cap theft on the web VM
+      at the surge start and 5% request tracing (budgeted admission,
+      retries, a controller resizing the VMs, span reconstruction);
+    * the crash drill, which evacuates ``db-vm`` and ``web-vm`` to the
+      survivor, so both RUBiS contexts rebind to a new hypervisor.
+    """
+    degraded = replace(
+        scenario(
+            "virtualized", "browsing", duration_s=60.0, seed=BASELINE_SEED
+        ),
+        faults=FaultSchedule.from_cli_string(
+            "degrade_nic@20:20:8+degrade_disk@30:20:4"
+        ),
+    )
+    flash = autoscaled_flash_crowd_scenario(
+        duration_s=60.0, seed=BASELINE_SEED
+    )
+    surge_start, _ = flash_crowd_window(flash)
+    theft = FaultSchedule(
+        (FaultSpec(CAP_THEFT, at_s=surge_start, target="web-vm",
+                   magnitude=0.1),)
+    )
+    flash = replace(flash, faults=theft, trace_sample=0.05)
+    drill = detect_and_evacuate_scenario(
+        duration_s=120.0, seed=BASELINE_SEED, clients=200, crash_at_s=30.0
+    )
+    cells = {
+        "virtualized/browsing/degraded": degraded,
+        "autoscaled_flash_crowd/cap_theft/traced": flash,
+        "detect_and_evacuate": drill,
+    }
+    return {cell: with_engine(spec, "batched") for cell, spec in cells.items()}
+
+
 def result_fingerprint(result) -> str:
     """A short stable digest of everything a run produced.
 
     Hashes every trace series (times and values, exact IEEE doubles),
-    the completed-request count and the response-time samples, so any
-    bitwise drift in a pinned engine shows up as a fingerprint change.
+    the completed-request count, the response-time samples and, when
+    the run sampled any, its request span trees, so any bitwise drift
+    in a pinned engine shows up as a fingerprint change.  A run without
+    request traces hashes exactly what it did before traces were added.
     """
     digest = hashlib.sha256()
     for key in sorted(result.traces.keys()):
@@ -105,6 +157,10 @@ def result_fingerprint(result) -> str:
     samples = np.asarray(result.client_stats.response_times_s, dtype=float)
     digest.update(str(samples.size).encode())
     digest.update(samples.tobytes())
+    for trace in result.request_traces or ():
+        # Dataclass reprs spell every float with repr(), which
+        # round-trips the exact double.
+        digest.update(repr(trace).encode())
     return digest.hexdigest()[:16]
 
 
@@ -115,6 +171,16 @@ def fingerprint_engine(engine: str) -> Dict[str, str]:
     return {
         cell: result_fingerprint(run_scenario(spec))
         for cell, spec in baseline_scenarios(engine).items()
+    }
+
+
+def fingerprint_paths() -> Dict[str, str]:
+    """Run every :func:`path_cells` cell and fingerprint it."""
+    from repro.experiments.runner import run_scenario
+
+    return {
+        cell: result_fingerprint(run_scenario(spec))
+        for cell, spec in path_cells().items()
     }
 
 

@@ -8,7 +8,9 @@ the trade safe:
   fingerprints (``tests/baselines/engine_fingerprints.json``, written
   by ``scripts/rebaseline.py``),
 * the batched engine is **self-deterministic** (same pinned-fingerprint
-  treatment, fresh process each time),
+  treatment, fresh process each time), on the paper cells and on the
+  path cells that exercise faults, budgeted admission, request tracing
+  and live migration,
 * at matched seeds the two engines are **equivalent in distribution**:
   two-sample KS on response times, relative-error bounds on
   throughput / utilization / CPU-ready aggregates, and per-figure
@@ -27,6 +29,7 @@ from repro.experiments.baseline import (
     ks_threshold,
     load_fingerprints,
     matrix_cells,
+    path_cells,
     relative_error,
     result_fingerprint,
     series_mean_ratio,
@@ -38,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent.parent
 CLOSED_CELLS = [f"{env}/{comp}" for env, comp in matrix_cells()]
 OPEN_CELL = "virtualized/browsing/poisson"
 ALL_CELLS = CLOSED_CELLS + [OPEN_CELL]
+PATH_CELLS = list(path_cells())
 
 #: Figure resources compared per entity (the four per-panel series the
 #: paper's figures plot).
@@ -85,6 +89,15 @@ class TestPinnedFingerprints:
             == pinned["engines"]["batched"][cell]
         ), (
             f"batched fingerprint drifted for {cell} — either a "
+            "determinism bug, or a deliberate epoch change that needs "
+            "scripts/rebaseline.py plus a PERFORMANCE.md note"
+        )
+
+    @pytest.mark.parametrize("cell", PATH_CELLS)
+    def test_batched_paths_self_deterministic(self, pinned, cell):
+        result = run_scenario(path_cells()[cell])
+        assert result_fingerprint(result) == pinned["batched_paths"][cell], (
+            f"batched path fingerprint drifted for {cell} — either a "
             "determinism bug, or a deliberate epoch change that needs "
             "scripts/rebaseline.py plus a PERFORMANCE.md note"
         )
