@@ -6,11 +6,12 @@ browsing scenario with the complete 518-metric registry sampled every
 and metrics/s through the telemetry pipeline — into ``extra_info`` so
 the BENCH trajectory tracks regressions.
 
-Three supporting microbenchmarks isolate the layers: a pure event-loop
-run (periodic processes only, no application logic), a closed-loop
+Supporting microbenchmarks isolate the layers: a pure event-loop run
+(periodic processes only, no application logic), a closed-loop
 event-loop run (thinking timers and the hops each wake fires, no
-application logic), and a cancellation-heavy run that exercises the
-lazy-deletion + compaction path of the event queue.
+application logic), a cancellation-heavy run that exercises the
+lazy-deletion + compaction path of the event queue, and the batched
+engine's fixed cost per wave.
 
 Quick mode: set ``REPRO_BENCH_QUICK=1`` to shrink the horizons so the
 whole file runs in a few seconds (the CI smoke configuration).
@@ -21,9 +22,12 @@ import random
 import time
 from dataclasses import replace
 
-from repro.experiments.runner import run_scenario
+import numpy as np
+
+from repro.experiments.runner import prepare_run, run_scenario
 from repro.experiments.scenarios import scenario
 from repro.monitoring.registry import build_registry
+from repro.sim.batched import DRAIN_INTERVAL_S
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 
@@ -329,3 +333,55 @@ def test_cancellation_heavy_throughput(benchmark):
         f"{queue.dead_entries} dead entries left"
     )
     assert queue.compactions > 0
+
+
+def test_batched_wave_cost(benchmark):
+    """Fixed cost of one batched wave at 1 and 36 rows.
+
+    A wave is one cohort pushed through ``BatchedPhysics.process``.
+    This drives a prepared virtualized batched run's physics with fixed
+    cohorts between ``begin_drain`` and ``end_drain``, a few waves per
+    drain and one drain per 0.25 s tick, and records ``us_per_wave``
+    for each size.  No timing assertion: the numbers feed the BENCH
+    trajectory (PERFORMANCE.md, "Batched wave cost").
+    """
+    drains = 40 if QUICK else 200
+    waves_per_drain = 5
+    base = scenario("virtualized", "bidding", duration_s=60.0, seed=7)
+    prepared = prepare_run(replace(base, engine="batched"))
+    prepared.start()
+    prepared.run_until(20.0)
+    physics = prepared.testbed.web.population.physics
+    rng = np.random.default_rng(0)
+
+    def run():
+        costs = {}
+        now = 20.0
+        for rows in (1, 36):
+            g = rng.integers(0, len(physics.table.names), rows)
+            offsets = np.sort(rng.uniform(0.0, DRAIN_INTERVAL_S, rows))
+            spent = 0.0
+            for _ in range(drains):
+                t0 = now + offsets
+                physics.begin_drain()
+                start = time.perf_counter()
+                for _ in range(waves_per_drain):
+                    physics.process(t0, g)
+                spent += time.perf_counter() - start
+                now += DRAIN_INTERVAL_S
+                physics.end_drain(now)
+            costs[rows] = spent / (drains * waves_per_drain)
+        return costs
+
+    costs = benchmark.pedantic(run, rounds=1, iterations=1)
+    for rows, seconds in costs.items():
+        benchmark.extra_info[f"us_per_wave.{rows}_rows"] = round(
+            seconds * 1e6, 1
+        )
+    print(
+        "\nbatched wave: "
+        + ", ".join(
+            f"{rows} rows {seconds * 1e6:.0f} us"
+            for rows, seconds in costs.items()
+        )
+    )

@@ -75,32 +75,36 @@ from repro.virt.io_backend import DOM0_OWNER
 PAGE_BYTES = BufferPool.PAGE_BYTES
 
 
+#: The per-interaction quantities a wave needs, one row each of
+#: :attr:`_InteractionTable.cols`; a wave gathers them all at once.
+_COLUMNS = (
+    "response_mu", "response_sigma", "response_base", "web_base",
+    "db_base", "db_write_base", "web_log_base", "request_base",
+    "db_queries", "query_bytes", "result_bytes", "commits",
+)
+
+
 class _InteractionTable:
-    """Column-oriented view of the demand profiles, one row per interaction.
+    """Column-oriented view of the demand profiles, one column per interaction.
 
     Built from the :class:`~repro.rubis.demand.DemandSampler` profiles so
     every base value and noise parameter is *the same number* the classic
     engine uses — the engines can only differ in which stream the noise
     factors are drawn from.
+
+    ``cols`` holds the :data:`_COLUMNS` rows, so one ``cols[:, g]``
+    gathers a whole cohort.  ``commits`` is 1.0 for an interaction that
+    commits and reaches the database; ``pages`` (buffer-pool pages
+    touched, the binomial trial count) is an integer row of its own.
     """
 
     def __init__(self, sampler, names) -> None:
         self.names: List[str] = list(names)
         self.index: Dict[str, int] = {n: i for i, n in enumerate(self.names)}
         n = len(self.names)
-        self.response_base = np.zeros(n)
-        self.response_mu = np.zeros(n)
-        self.response_sigma = np.zeros(n)
-        self.web_base = np.zeros(n)
-        self.db_base = np.zeros(n)
-        self.db_queries = np.zeros(n)
+        self.cols = np.zeros((len(_COLUMNS), n))
         self.pages = np.zeros(n, dtype=np.int64)
-        self.db_write_base = np.zeros(n)
-        self.web_log_base = np.zeros(n)
-        self.request_base = np.zeros(n)
-        self.query_bytes = np.zeros(n)
-        self.result_bytes = np.zeros(n)
-        self.writes = np.zeros(n, dtype=bool)
+        row = dict(zip(_COLUMNS, self.cols))
         row_bytes = max(sampler._row_bytes, 1.0)
         rows_per_page = max(PAGE_BYTES / row_bytes, 1.0)
         demand_params = log_params = req_params = None
@@ -109,21 +113,21 @@ class _InteractionTable:
              rows_touched, db_write_base, web_log_base, request_base,
              query_bytes, result_bytes, writes, demand_params, log_params,
              req_params) = sampler._build_profile(name)
-            self.response_base[i] = response_base
+            row["response_base"][i] = response_base
             if response_params is not None:
-                self.response_mu[i] = response_params[0]
-                self.response_sigma[i] = response_params[1]
-            self.web_base[i] = web_base
-            self.db_base[i] = db_base
-            self.db_queries[i] = db_queries
+                row["response_mu"][i] = response_params[0]
+                row["response_sigma"][i] = response_params[1]
+            row["web_base"][i] = web_base
+            row["db_base"][i] = db_base
+            row["db_queries"][i] = db_queries
             if rows_touched > 0:
                 self.pages[i] = max(1, ceil(rows_touched / rows_per_page))
-            self.db_write_base[i] = db_write_base
-            self.web_log_base[i] = web_log_base
-            self.request_base[i] = request_base
-            self.query_bytes[i] = query_bytes
-            self.result_bytes[i] = result_bytes
-            self.writes[i] = bool(writes)
+            row["db_write_base"][i] = db_write_base
+            row["web_log_base"][i] = web_log_base
+            row["request_base"][i] = request_base
+            row["query_bytes"][i] = query_bytes
+            row["result_bytes"][i] = result_bytes
+            row["commits"][i] = bool(writes) and db_queries > 0
         # The cv-derived (mu, sigma) pairs are shared across interactions.
         self.demand_params = demand_params
         self.log_params = log_params
@@ -131,25 +135,59 @@ class _InteractionTable:
 
 
 class _MatrixWalk:
-    """Vectorized transition stepping for one matrix.
+    """Vectorized transition stepping for both session types at once.
 
-    ``cdf_rows[s]`` is exactly the per-state CDF the classic
-    ``next_state`` bisects; ``(row <= u).sum()`` reproduces
-    ``bisect_right(row, u)`` element-for-element, so the local-state
-    distribution is identical to a per-session walk.
+    The browse and bid matrices are stacked into one CDF table: a
+    session's state is its row in the stack, the bid rows follow the
+    browse rows, and shorter rows are padded with +inf.  ``cdf_rows[s]``
+    is exactly the per-state CDF the classic ``next_state`` bisects, and
+    ``(row <= u).sum()`` reproduces ``bisect_right(row, u)``
+    element-for-element (a pad never counts, and the last CDF entry is
+    1.0 > u), so the local-state distribution is identical to a
+    per-session walk.
     """
 
-    def __init__(self, matrix: TransitionMatrix, table: _InteractionTable):
-        self.matrix = matrix
-        self.cdf_rows = np.asarray(matrix._cdfs)
-        self.to_global = np.asarray(
-            [table.index[state] for state in matrix.states], dtype=np.int64
-        )
-        self.initial_index = matrix.states.index(matrix.initial_state)
+    def __init__(
+        self,
+        matrices: Dict[SessionType, TransitionMatrix],
+        table: _InteractionTable,
+    ) -> None:
+        chains = (matrices[SessionType.BROWSE], matrices[SessionType.BID])
+        cdfs = [np.asarray(matrix._cdfs) for matrix in chains]
+        rows = sum(cdf.shape[0] for cdf in cdfs)
+        self.cdf_rows = np.full((rows, max(c.shape[1] for c in cdfs)), np.inf)
+        #: First stacked row of each state's own matrix.
+        self.base = np.empty(rows, dtype=np.int64)
+        to_global: List[int] = []
+        initial: List[int] = []
+        first = 0
+        for matrix, cdf in zip(chains, cdfs):
+            last = first + cdf.shape[0]
+            self.cdf_rows[first:last, :cdf.shape[1]] = cdf
+            self.base[first:last] = first
+            to_global.extend(table.index[state] for state in matrix.states)
+            initial.append(first + matrix.states.index(matrix.initial_state))
+            first = last
+        self.to_global = np.asarray(to_global, dtype=np.int64)
+        #: Stacked initial state per session type index.
+        self.initial = np.asarray(initial, dtype=np.int64)
 
-    def step(self, rng: np.random.Generator, states: np.ndarray) -> np.ndarray:
+    def step(
+        self, rng: np.random.Generator, stype: np.ndarray, states: np.ndarray
+    ) -> np.ndarray:
+        """Next stacked states of a cohort (``stype``/``states`` aligned).
+
+        One uniform per row.  The draws go to the browse rows first and
+        then to the bid rows, each in cohort order, which is the stream
+        one draw call per session type would consume.
+        """
         draws = rng.random(states.size)
-        return (self.cdf_rows[states] <= draws[:, None]).sum(axis=1)
+        if stype.any() and not stype.all():
+            by_type = np.empty_like(draws)
+            by_type[stype.argsort(kind="stable")] = draws
+            draws = by_type
+        local = (self.cdf_rows[states] <= draws[:, None]).sum(axis=1)
+        return local + self.base[states]
 
 
 def _bump(counters: dict, owner: str, amount: float) -> None:
@@ -164,25 +202,25 @@ def _update_station(station, occupancy, waits, durations) -> None:
 
     Backlog observations are occupancy-derived estimates: requests that
     never waited observe 1 (the classic fast path), queued requests
-    observe their queue depth.
+    observe their queue depth.  ``waits`` is None when nobody waited.
     """
     n = occupancy.size
     stats = station.stats
     stats.arrivals += n
     stats.completions += n
     stats.total_service_s += float(durations.sum())
-    if waits is not None:
+    if waits is None:
+        backlog, peak = n, 1
+    else:
         stats.total_wait_s += float(waits.sum())
         observed = np.where(
             waits > 0.0,
             np.maximum(occupancy - station.workers, 1),
             1,
         )
-    else:
-        observed = np.ones(n, dtype=np.int64)
-    stats.backlog_sum += float(observed.sum())
+        backlog, peak = observed.sum(), int(observed.max())
+    stats.backlog_sum += float(backlog)
     stats._observations += n
-    peak = int(observed.max())
     if peak > stats.peak_backlog:
         stats.peak_backlog = peak
     occ_peak = int(occupancy.max())
@@ -206,13 +244,181 @@ class _PoolAdapter:
         return self.pool.rescale_remaining(self.sim.now, factor)
 
 
+class _Tier:
+    """Where one tier's CPU work and per-request overheads land.
+
+    Holds the identities of one execution context (its CPU ledger, its
+    owner, its hypervisor when virtualized) and, refreshed every drain,
+    the cycle costs and the scheduler-granted seconds per cycle.
+    """
+
+    __slots__ = (
+        "context", "hypervisor", "charge", "owner", "overhead_owner",
+        "request_cycles", "commit_cycles", "s_per_cycle", "pure_per_cycle",
+    )
+
+    def __init__(self, context, hypervisor) -> None:
+        self.context = context
+        self.hypervisor = hypervisor
+        server = context.server if hypervisor is None else hypervisor.server
+        self.charge = server.cpu.charge
+        self.owner = context.owner
+        # Hypercalls and commit barriers are dom0's work on a
+        # hypervisor, the host kernel's (charged to the tier) on bare
+        # metal.
+        self.overhead_owner = (
+            context.owner if hypervisor is None else DOM0_OWNER
+        )
+
+    def refresh(self) -> None:
+        hypervisor = self.hypervisor
+        if hypervisor is None:
+            os_model = self.context.os_model
+            self.request_cycles = os_model.syscall_cycles_per_request
+            self.commit_cycles = os_model.commit_cycles
+            self.s_per_cycle = 1.0 / self.context.server.cpu.frequency_hz
+            self.pure_per_cycle = self.s_per_cycle
+            return
+        self.request_cycles = hypervisor.overhead.hypercall_cycles_per_request
+        self.commit_cycles = hypervisor.overhead.commit_cycles
+        frequency = hypervisor.server.cpu.frequency_hz
+        fraction = hypervisor.scheduler.speed_fraction(
+            self.context.domain.name
+        )
+        self.s_per_cycle = 1.0 / (frequency * fraction)
+        # Pure (uncontended) rate: the span reconstruction reports
+        # actual − pure as the credit-scheduler ready inflation.
+        self.pure_per_cycle = 1.0 / frequency
+
+    def account(self, count: int, scale: float, cycles_total: float) -> None:
+        """Charge ``count`` requests' overhead and their CPU cycles."""
+        if self.hypervisor is not None:
+            self.hypervisor.requests_accounted += count
+        self.charge(self.overhead_owner, count * self.request_cycles * scale)
+        self.charge(self.owner, cycles_total)
+
+
+class _Hop:
+    """One hop of the request path: its byte accounting and its lane.
+
+    A hop moves bytes through one device queue: a NIC direction or a
+    disk.  On a hypervisor the bytes cross dom0's split driver first,
+    which counts them per guest, amplifies them and charges dom0 per
+    byte; on bare metal the host OS amplifies them.
+
+    The stage sweep visits a shared device out of global time order
+    (all request transfers, then all query transfers, ...), so one
+    common frontier would floor a later stage's early transfers behind
+    the previous stage's last completion.  Each hop therefore gets its
+    own lane seeded from the device's busy time at drain start:
+    serialization *within* a hop is exact (Lindley) and cross-hop
+    contention inside one drain is not modeled — a documented
+    approximation, negligible at the paper's device utilizations.
+    Every wave of a drain starts from that same seed; ``frontier`` is
+    the latest completion over the drain's waves.
+
+    Only identities are cached: the device, its counters, the owners
+    and the backend.  :meth:`refresh` re-reads everything else every
+    drain, because faults change bandwidths and latencies mid-run.
+    """
+
+    __slots__ = (
+        "device", "busy", "rate_attr", "disk", "direction", "counters",
+        "owner", "backend", "guest", "guest_owner", "os_model",
+        "seed", "frontier", "rate", "latency", "amplification",
+        "cycles_per_byte", "deferred",
+    )
+
+    def __init__(self, context, hypervisor, direction: str) -> None:
+        self.direction = direction
+        self.disk = direction in ("read", "write")
+        if hypervisor is None:
+            self.backend = self.guest = None
+            self.os_model = context.os_model
+            server = context.server
+            self.device = server.disk if self.disk else server.nic
+            self.owner = context.owner
+        else:
+            self.backend = (
+                hypervisor.block_backend if self.disk
+                else hypervisor.net_backend
+            )
+            self.guest = getattr(self.backend, {
+                "rx": "_vm_rx", "tx": "_vm_tx",
+                "read": "_vm_read", "write": "_vm_written",
+            }[direction])
+            self.guest_owner = context.owner
+            self.device = (
+                self.backend.disk if self.disk else self.backend.nic
+            )
+            self.owner = DOM0_OWNER
+        device = self.device
+        if self.disk:
+            self.busy = "_busy_until"
+            self.rate_attr = f"{direction}_bandwidth_bps"
+            self.counters = (
+                device._bytes_read if direction == "read"
+                else device._bytes_written
+            )
+        else:
+            self.busy = f"_{direction}_busy_until"
+            self.rate_attr = "bandwidth_bps"
+            self.counters = (
+                device._rx_bytes if direction == "rx" else device._tx_bytes
+            )
+
+    def refresh(self) -> None:
+        device = self.device
+        self.seed = self.frontier = getattr(device, self.busy)
+        self.rate = getattr(device, self.rate_attr)
+        self.latency = device.access_latency_s if self.disk else 0.0
+        backend = self.backend
+        if backend is None:
+            self.amplification = (
+                self.os_model.disk_accounting_factor if self.disk
+                else self.os_model.net_accounting_factor
+            )
+            self.deferred = False
+            return
+        self.amplification = backend._amplification
+        self.cycles_per_byte = backend._cycles_per_byte
+        # A write-batching block backend defers guest writes to its
+        # flusher instead of queueing them on the disk.
+        self.deferred = (
+            self.direction == "write" and backend.overhead.batch_writes
+        )
+
+    def book(self, n: int, logical_total, physical_total: float) -> None:
+        """Count one batch's bytes (and its dom0 cycles on a hypervisor)."""
+        backend = self.backend
+        if backend is not None:
+            _bump(self.guest, self.guest_owner, logical_total)
+            backend._charge(
+                DOM0_OWNER, physical_total * self.cycles_per_byte
+            )
+            if self.deferred:
+                backend._pending_write_bytes += physical_total
+                return
+        _bump(self.counters, self.owner, physical_total)
+        if self.disk:
+            self.device.requests_served += n
+        else:
+            self.device.packets[self.direction] += n
+
+    def services(self, physical: np.ndarray) -> np.ndarray:
+        services = physical / self.rate
+        if self.latency:
+            services += self.latency
+        return services
+
+
 class BatchedPhysics:
     """Pushes request cohorts through the two-tier request path.
 
-    One instance per deployment.  :meth:`begin_drain` snapshots device
-    busy state and the per-tier execution handles (re-resolved every
-    drain so live migrations that rebind a context take effect at the
-    next tick); :meth:`process` runs one cohort; :meth:`end_drain`
+    One instance per deployment.  :meth:`begin_drain` refreshes the
+    device seeds, rates and scheduler fractions (rebuilding the hop and
+    tier records when a live migration has rebound a context to another
+    hypervisor); :meth:`process` runs one cohort; :meth:`end_drain`
     writes device state back and refreshes the scheduler demand gauges.
     """
 
@@ -241,13 +447,57 @@ class BatchedPhysics:
         )
         self._web_scale = deployment.config.php.request_account_scale
         self._db_scale = deployment.config.mysql.request_account_scale
-        self._views: dict = {}
+        self._bound = None
         self._wave = 0
 
     # -- drain lifecycle ---------------------------------------------------
 
+    def _bind(self, web_hv, db_hv) -> None:
+        """Build the tier and hop records for the current placement."""
+        d = self.deployment
+        self._bound = (web_hv, db_hv)
+        self._web = _Tier(d.web_context, web_hv)
+        self._db = _Tier(d.db_context, db_hv)
+        web, db = d.web_context, d.db_context
+        self._request = _Hop(web, web_hv, "rx")
+        self._query_out = _Hop(web, web_hv, "tx")
+        self._query_in = _Hop(db, db_hv, "rx")
+        self._result_out = _Hop(db, db_hv, "tx")
+        self._result_in = _Hop(web, web_hv, "rx")
+        self._response = _Hop(web, web_hv, "tx")
+        self._web_write = _Hop(web, web_hv, "write")
+        self._db_write = _Hop(db, db_hv, "write")
+        self._db_read = _Hop(db, db_hv, "read")
+        self._hops = (
+            self._request, self._query_out, self._query_in,
+            self._result_out, self._result_in, self._response,
+            self._web_write, self._db_write, self._db_read,
+        )
+        # Several hops share one physical device queue; end_drain
+        # carries the latest frontier over all of them.
+        queues: dict = {}
+        for hop in self._hops:
+            queues.setdefault((id(hop.device), hop.busy), []).append(hop)
+        self._queues = tuple(
+            (hops[0].device, hops[0].busy, tuple(hops))
+            for hops in queues.values()
+        )
+
     def begin_drain(self) -> None:
-        self._views = {}
+        d = self.deployment
+        if self.virtualized:
+            web_hv = d.web_context.hypervisor
+            db_hv = d.db_context.hypervisor
+        else:
+            web_hv = db_hv = None
+        if self._bound is None or (
+            self._bound[0] is not web_hv or self._bound[1] is not db_hv
+        ):
+            self._bind(web_hv, db_hv)
+        self._web.refresh()
+        self._db.refresh()
+        for hop in self._hops:
+            hop.refresh()
         # Waves inside one drain window overlap in time: each is
         # scheduled against the window-start pool state and the waves
         # are folded back into one carried state at end_drain.
@@ -256,57 +506,16 @@ class BatchedPhysics:
         self._db_free0 = self.db_pool.snapshot()
         self._web_comps: list = []
         self._db_comps: list = []
-        d = self.deployment
-        if self.virtualized:
-            self._hv_web = d.web_context.hypervisor
-            self._hv_db = d.db_context.hypervisor
-            web_frac = self._hv_web.scheduler.speed_fraction(
-                d.web_context.domain.name
-            )
-            db_frac = self._hv_db.scheduler.speed_fraction(
-                d.db_context.domain.name
-            )
-            self._web_s_per_cycle = 1.0 / (
-                self._hv_web.server.cpu.frequency_hz * web_frac
-            )
-            self._db_s_per_cycle = 1.0 / (
-                self._hv_db.server.cpu.frequency_hz * db_frac
-            )
-            # Pure (uncontended) rates: the span reconstruction reports
-            # actual − pure as the credit-scheduler ready inflation.
-            self._web_pure_per_cycle = (
-                1.0 / self._hv_web.server.cpu.frequency_hz
-            )
-            self._db_pure_per_cycle = (
-                1.0 / self._hv_db.server.cpu.frequency_hz
-            )
-        else:
-            self._web_s_per_cycle = 1.0 / d.web_server.cpu.frequency_hz
-            self._db_s_per_cycle = 1.0 / d.db_server.cpu.frequency_hz
-            self._web_pure_per_cycle = self._web_s_per_cycle
-            self._db_pure_per_cycle = self._db_s_per_cycle
 
     def end_drain(self, horizon: float) -> None:
-        self.web_pool.merge_window(self._web_free0, self._web_comps)
-        self.db_pool.merge_window(self._db_free0, self._db_comps)
-        # Several hops (lanes) share one physical device; the carried
-        # busy frontier is the latest completion over all of them.
-        merged: dict = {}
-        for (dev_id, kind, direction, _lane, _wave), view in self._views.items():
-            key = (dev_id, kind, direction)
-            prior = merged.get(key)
-            if prior is None or view[0] > prior[0]:
-                merged[key] = view
-        for (_, kind, direction), view in merged.items():
-            device = view[1]
-            if kind == "nic":
-                if direction == "rx":
-                    device._rx_busy_until = view[0]
-                else:
-                    device._tx_busy_until = view[0]
-            else:
-                device._busy_until = view[0]
-        self._views = {}
+        if self._wave > 1:
+            # One wave already left each pool holding the c largest of
+            # its start state and completions; only overlapping waves
+            # need folding.
+            self.web_pool.merge_window(self._web_free0, self._web_comps)
+            self.db_pool.merge_window(self._db_free0, self._db_comps)
+        for device, busy, hops in self._queues:
+            setattr(device, busy, max(hop.frontier for hop in hops))
         if self.virtualized:
             d = self.deployment
             d.web_context.domain.active_workers = self.web_pool.busy_count(
@@ -316,181 +525,55 @@ class BatchedPhysics:
                 horizon
             )
 
-    # -- device views ------------------------------------------------------
+    # -- hops ----------------------------------------------------------------
 
-    def _view(self, device, kind: str, direction: str, lane: str) -> list:
-        """Busy-frontier view of one device for one *hop* (lane).
+    def _flow(self, hop: _Hop, times, logical):
+        """One hop's batch; returns its completions (None when deferred)."""
+        physical = logical * hop.amplification
+        hop.book(
+            times.size,
+            float(logical.sum()) if hop.backend is not None else None,
+            float(physical.sum()),
+        )
+        if hop.deferred:
+            return None
+        completions, frontier = lindley(
+            times, hop.services(physical), hop.seed
+        )
+        if frontier > hop.frontier:
+            hop.frontier = frontier
+        return completions
 
-        The stage sweep visits a shared device out of global time
-        order (all stage-A transfers, then all stage-Q transfers, ...),
-        so one common frontier would floor a later stage's early
-        transfers behind the previous stage's last completion.  Each
-        hop therefore gets its own lane seeded from the device's real
-        busy time: serialization *within* a hop is exact (Lindley) and
-        cross-hop contention inside one drain is not modeled — a
-        documented approximation, negligible at the paper's device
-        utilizations.
+    def _transfer(self, out: _Hop, into: _Hop, times, logical):
+        """Bytes from one tier to the other; returns arrival completions.
+
+        Nothing reads the sending lane's completions, and when both
+        lanes amplify alike and run at one rate they queue the same
+        services at the same times, so one :func:`lindley` pass serves
+        both.
         """
-        key = (id(device), kind, direction, lane, self._wave)
-        view = self._views.get(key)
-        if view is None:
-            if kind == "nic":
-                busy = (
-                    device._rx_busy_until
-                    if direction == "rx"
-                    else device._tx_busy_until
-                )
-            else:
-                busy = device._busy_until
-            view = [busy, device]
-            self._views[key] = view
-        return view
-
-    def _nic_flow(
-        self, nic, direction, times, physical, owner, lane
-    ) -> np.ndarray:
-        view = self._view(nic, "nic", direction, lane)
-        completions, view[0] = lindley(
-            times, physical / nic.bandwidth_bps, view[0]
+        if (
+            out.amplification != into.amplification
+            or out.rate != into.rate
+        ):
+            self._flow(out, times, logical)
+            return self._flow(into, times, logical)
+        n = times.size
+        physical = logical * out.amplification
+        logical_total = (
+            float(logical.sum()) if out.backend is not None else None
         )
-        counters = nic._rx_bytes if direction == "rx" else nic._tx_bytes
-        _bump(counters, owner, float(physical.sum()))
-        nic.packets[direction] += times.size
+        physical_total = float(physical.sum())
+        out.book(n, logical_total, physical_total)
+        into.book(n, logical_total, physical_total)
+        completions, frontier, out_frontier = lindley(
+            times, out.services(physical), into.seed, out.seed
+        )
+        if frontier > into.frontier:
+            into.frontier = frontier
+        if out_frontier > out.frontier:
+            out.frontier = out_frontier
         return completions
-
-    def _disk_flow(self, disk, kind, times, physical, owner, lane) -> np.ndarray:
-        view = self._view(disk, "disk", "", lane)
-        bandwidth = (
-            disk.read_bandwidth_bps
-            if kind == "read"
-            else disk.write_bandwidth_bps
-        )
-        completions, view[0] = lindley(
-            times, disk.access_latency_s + physical / bandwidth, view[0]
-        )
-        counters = disk._bytes_read if kind == "read" else disk._bytes_written
-        _bump(counters, owner, float(physical.sum()))
-        disk.requests_served += times.size
-        return completions
-
-    # -- tier-level operations (virtualized vs bare-metal) ------------------
-
-    def _net(
-        self, tier: str, direction: str, times, logical, lane: str
-    ) -> np.ndarray:
-        """Guest/host network transfer for one cohort; returns completions."""
-        context = (
-            self.deployment.web_context
-            if tier == "web"
-            else self.deployment.db_context
-        )
-        if self.virtualized:
-            hv = self._hv_web if tier == "web" else self._hv_db
-            backend = hv.net_backend
-            vm = backend._vm_rx if direction == "rx" else backend._vm_tx
-            _bump(vm, context.owner, float(logical.sum()))
-            physical = logical * backend._amplification
-            backend._charge(
-                DOM0_OWNER, float(physical.sum()) * backend._cycles_per_byte
-            )
-            return self._nic_flow(
-                backend.nic, direction, times, physical, DOM0_OWNER, lane
-            )
-        physical = logical * context.os_model.net_accounting_factor
-        return self._nic_flow(
-            context.server.nic, direction, times, physical, context.owner,
-            lane,
-        )
-
-    def _disk_write(self, tier: str, times, logical) -> None:
-        """Asynchronous write-back (access log, dirty pages, binlog)."""
-        context = (
-            self.deployment.web_context
-            if tier == "web"
-            else self.deployment.db_context
-        )
-        if self.virtualized:
-            hv = self._hv_web if tier == "web" else self._hv_db
-            backend = hv.block_backend
-            _bump(backend._vm_written, context.owner, float(logical.sum()))
-            physical = logical * backend._amplification
-            backend._charge(
-                DOM0_OWNER, float(physical.sum()) * backend._cycles_per_byte
-            )
-            if backend.overhead.batch_writes:
-                backend._pending_write_bytes += float(physical.sum())
-            else:
-                self._disk_flow(
-                    backend.disk, "write", times, physical, DOM0_OWNER,
-                    f"{tier}.write",
-                )
-            return
-        physical = logical * context.os_model.disk_accounting_factor
-        self._disk_flow(
-            context.server.disk, "write", times, physical, context.owner,
-            f"{tier}.write",
-        )
-
-    def _db_disk_read(self, times, logical) -> np.ndarray:
-        """Synchronous buffer-pool miss reads; returns completions."""
-        context = self.deployment.db_context
-        if self.virtualized:
-            backend = self._hv_db.block_backend
-            _bump(backend._vm_read, context.owner, float(logical.sum()))
-            physical = logical * backend._amplification
-            backend._charge(
-                DOM0_OWNER, float(physical.sum()) * backend._cycles_per_byte
-            )
-            return self._disk_flow(
-                backend.disk, "read", times, physical, DOM0_OWNER, "db.read"
-            )
-        physical = logical * context.os_model.disk_accounting_factor
-        return self._disk_flow(
-            context.server.disk, "read", times, physical, context.owner,
-            "db.read",
-        )
-
-    def _account_requests(self, tier: str, count: int, scale: float) -> None:
-        context = (
-            self.deployment.web_context
-            if tier == "web"
-            else self.deployment.db_context
-        )
-        if self.virtualized:
-            hv = self._hv_web if tier == "web" else self._hv_db
-            hv.requests_accounted += count
-            hv.server.cpu.charge(
-                DOM0_OWNER,
-                count * hv.overhead.hypercall_cycles_per_request * scale,
-            )
-        else:
-            context.server.cpu.charge(
-                context.owner,
-                count * context.os_model.syscall_cycles_per_request * scale,
-            )
-
-    def _account_commits(self, count: int) -> None:
-        context = self.deployment.db_context
-        if self.virtualized:
-            self._hv_db.server.cpu.charge(
-                DOM0_OWNER, count * self._hv_db.overhead.commit_cycles
-            )
-        else:
-            context.server.cpu.charge(
-                context.owner, count * context.os_model.commit_cycles
-            )
-
-    def _charge_cpu(self, tier: str, cycles_total: float) -> None:
-        context = (
-            self.deployment.web_context
-            if tier == "web"
-            else self.deployment.db_context
-        )
-        if self.virtualized:
-            hv = self._hv_web if tier == "web" else self._hv_db
-            hv.server.cpu.charge(context.owner, cycles_total)
-        else:
-            context.server.cpu.charge(context.owner, cycles_total)
 
     # -- the request path ---------------------------------------------------
 
@@ -517,7 +600,7 @@ class BatchedPhysics:
         if trace is not None and self.tracer is not None:
             mask = trace[0]
             if mask.any():
-                emit = np.nonzero(mask)[0]
+                emit = mask.nonzero()[0]
         self._wave += 1
         if self._wave > 1:
             # A later wave overlaps the earlier ones in time; serve it
@@ -527,60 +610,53 @@ class BatchedPhysics:
 
         # Demand draws, all at once (classic order per request: response
         # noise, buffer-pool binomial, demand noise x3, log, request).
-        response_noise = rng.lognormal(
-            table.response_mu[g], table.response_sigma[g]
+        (response_mu, response_sigma, response_base, web_base, db_base,
+         db_write_base, web_log_base, request_base, queries, query_bytes,
+         result_bytes, commits) = table.cols[:, g]
+        response_bytes = response_base * rng.lognormal(
+            response_mu, response_sigma
         )
-        response_bytes = table.response_base[g] * response_noise
         pages = table.pages[g]
         missed = rng.binomial(pages, self.buffer_pool._miss_probability)
         pool = self.buffer_pool
-        pool.hits += int((pages - missed).sum())
-        pool.misses += int(missed.sum())
-        db_read_bytes = missed * float(PAGE_BYTES)
+        misses = int(missed.sum())
+        pool.hits += int(pages.sum()) - misses
+        pool.misses += misses
         if table.demand_params is not None:
             mu, sigma = table.demand_params
-            web_noise = rng.lognormal(mu, sigma, n)
-            db_noise = rng.lognormal(mu, sigma, n)
-            write_noise = rng.lognormal(mu, sigma, n)
+            web_cycles = web_base * rng.lognormal(mu, sigma, n)
+            db_cycles = db_base * rng.lognormal(mu, sigma, n)
+            db_write_bytes = db_write_base * rng.lognormal(mu, sigma, n)
         else:
-            web_noise = db_noise = write_noise = np.ones(n)
-        web_cycles = table.web_base[g] * web_noise
-        db_cycles = table.db_base[g] * db_noise
-        db_write_bytes = table.db_write_base[g] * write_noise
+            web_cycles, db_cycles, db_write_bytes = (
+                web_base, db_base, db_write_base
+            )
         log_mu, log_sigma = table.log_params
-        web_log_bytes = table.web_log_base[g] * rng.lognormal(
-            log_mu, log_sigma, n
-        )
+        web_log_bytes = web_log_base * rng.lognormal(log_mu, log_sigma, n)
         req_mu, req_sigma = table.req_params
-        request_bytes = table.request_base[g] * rng.lognormal(
-            req_mu, req_sigma, n
-        )
-        queries = table.db_queries[g]
-        query_bytes = table.query_bytes[g]
-        result_bytes = table.result_bytes[g]
-        commits = table.writes[g]
+        request_bytes = request_base * rng.lognormal(req_mu, req_sigma, n)
 
         # Stage A: client -> web ingress.
-        c1 = self._net("web", "rx", t0, request_bytes, "request")
-        web_arrive = c1 + d._lat_client_web
+        web_arrive = (
+            self._flow(self._request, t0, request_bytes) + d._lat_client_web
+        )
 
         # Stage W: the PHP worker pool.
-        web_durations = web_cycles * self._web_s_per_cycle
+        web = self._web
+        web_durations = web_cycles * web.s_per_cycle
         starts, wd, occupancy = self.web_pool.schedule(
             web_arrive, web_durations
         )
         self._web_comps.append(wd)
-        waits = None
-        if starts is not web_arrive:
-            waits = starts - web_arrive
-        self._account_requests("web", n, self._web_scale)
-        self._charge_cpu("web", float(web_cycles.sum()))
+        waits = None if starts is web_arrive else starts - web_arrive
+        web.account(n, self._web_scale, float(web_cycles.sum()))
         _update_station(d.php_tier.station, occupancy, waits, web_durations)
         d.php_tier.requests_handled += n
 
         # Web completion side effects: access log + session store writes.
-        order = np.argsort(wd, kind="stable")
-        self._disk_write("web", wd[order], web_log_bytes[order])
+        order = wd.argsort(kind="stable")
+        wd_o = wd[order]
+        self._flow(self._web_write, wd_o, web_log_bytes[order])
 
         has_db = queries > 0
         t_ready = wd.copy()  # per-request time the response leaves the web tier
@@ -591,29 +667,32 @@ class BatchedPhysics:
             db_start_f = np.full(n, np.nan)
             db_done_f = np.full(n, np.nan)
             blocked_f = np.zeros(n)
-        if has_db.any():
-            sub = np.nonzero(has_db)[0]
-            sub = sub[np.argsort(wd[sub], kind="stable")]
-            wd_s = wd[sub]
+        db_o = has_db[order]
+        if db_o.any():
+            # The db-bound rows in web-completion order, ties by row.
+            sub = order[db_o]
             # Stage Q: query out of the web tier, into the db tier.
-            self._net("web", "tx", wd_s, query_bytes[sub], "query")
-            c2 = self._net("db", "rx", wd_s, query_bytes[sub], "query")
-            db_arrive = c2 + d._lat_web_db
+            db_arrive = self._transfer(
+                self._query_out, self._query_in, wd_o[db_o], query_bytes[sub]
+            ) + d._lat_web_db
 
             # Stage D: the MySQL worker pool.  Miss reads are submitted
             # at the queue-arrival time (exact whenever the request does
             # not wait, which is the overwhelmingly common case).
-            db_durations = db_cycles[sub] * self._db_s_per_cycle
-            reads = db_read_bytes[sub] > 0
-            if reads.any():
-                r = np.nonzero(reads)[0]
-                read_done = self._db_disk_read(
-                    db_arrive[r], db_read_bytes[sub][r]
+            db = self._db
+            sub_cycles = db_cycles[sub]
+            db_durations = sub_cycles * db.s_per_cycle
+            sub_missed = missed[sub]
+            if sub_missed.any():
+                r = sub_missed.nonzero()[0]
+                read_done = self._flow(
+                    self._db_read, db_arrive[r],
+                    sub_missed[r] * float(PAGE_BYTES),
                 )
-                blocked = read_done - db_arrive[r]
-                np.add.at(db_durations, r, np.maximum(blocked, 0.0))
+                blocked = np.maximum(read_done - db_arrive[r], 0.0)
+                db_durations[r] += blocked
                 if emit is not None:
-                    blocked_f[sub[r]] = np.maximum(blocked, 0.0)
+                    blocked_f[sub[r]] = blocked
             db_starts, dd, db_occ = self.db_pool.schedule(
                 db_arrive, db_durations
             )
@@ -622,39 +701,37 @@ class BatchedPhysics:
                 db_start_f[sub] = db_starts
                 db_done_f[sub] = dd
             self._db_comps.append(dd)
-            db_waits = None
-            if db_starts is not db_arrive:
-                db_waits = db_starts - db_arrive
-            self._account_requests("db", sub.size, self._db_scale)
-            self._charge_cpu("db", float(db_cycles[sub].sum()))
+            db_waits = None if db_starts is db_arrive else db_starts - db_arrive
+            db.account(sub.size, self._db_scale, float(sub_cycles.sum()))
             _update_station(
                 d.mysql_tier.station, db_occ, db_waits, db_durations
             )
-            d.mysql_tier.queries_executed += int(queries[sub].sum())
-            commit_count = int(commits[sub].sum())
+            # Whole-number columns, zero off ``sub``: the sums are exact.
+            d.mysql_tier.queries_executed += int(queries.sum())
+            commit_count = int(commits.sum())
             if commit_count:
                 d.mysql_tier.commits += commit_count
-                self._account_commits(commit_count)
+                db.charge(db.overhead_owner, commit_count * db.commit_cycles)
 
             # Db completion side effects and the result hop back.
-            dorder = np.argsort(dd, kind="stable")
+            dorder = dd.argsort(kind="stable")
             dd_o = dd[dorder]
             sub_o = sub[dorder]
-            writes_mask = db_write_bytes[sub_o] > 0
-            if writes_mask.any():
-                w = np.nonzero(writes_mask)[0]
-                self._disk_write("db", dd_o[w], db_write_bytes[sub_o][w])
-            self._net("db", "tx", dd_o, result_bytes[sub_o], "result")
-            c3 = self._net("web", "rx", dd_o, result_bytes[sub_o], "result")
-            t_ready[sub_o] = c3 + d._lat_db_web
+            write_bytes = db_write_bytes[sub_o]
+            writes = write_bytes > 0
+            if writes.any():
+                w = writes.nonzero()[0]
+                self._flow(self._db_write, dd_o[w], write_bytes[w])
+            t_ready[sub_o] = self._transfer(
+                self._result_out, self._result_in, dd_o, result_bytes[sub_o]
+            ) + d._lat_db_web
 
         # Stage S: response egress back to the client.
-        sorder = np.argsort(t_ready, kind="stable")
-        c4 = self._net(
-            "web", "tx", t_ready[sorder], response_bytes[sorder], "response"
-        )
+        sorder = t_ready.argsort(kind="stable")
         t_done = np.empty(n)
-        t_done[sorder] = c4 + d._lat_web_client
+        t_done[sorder] = self._flow(
+            self._response, t_ready[sorder], response_bytes[sorder]
+        ) + d._lat_web_client
         if emit is not None:
             self._emit_traces(
                 emit, trace[1], trace[2], t0, g, web_arrive, starts, wd,
@@ -682,8 +759,8 @@ class BatchedPhysics:
 
         names = self.table.names
         traces = self.tracer.traces
-        web_pure_rate = self._web_pure_per_cycle
-        db_pure_rate = self._db_pure_per_cycle
+        web_pure_rate = self._web.pure_per_cycle
+        db_pure_rate = self._db.pure_per_cycle
         for i in idx:
             i = int(i)
             spans = [
@@ -750,11 +827,15 @@ class BatchedPhysics:
             )
 
 
-def _record_requests(stats: SessionStats, names, g: np.ndarray) -> None:
+def _record_requests(
+    stats: SessionStats, names, cohorts: List[np.ndarray]
+) -> None:
+    """Fold one drain's interaction indices into the session stats."""
+    g = cohorts[0] if len(cohorts) == 1 else np.concatenate(cohorts)
     stats.requests_sent += g.size
     counts = np.bincount(g, minlength=len(names))
     per = stats.per_interaction
-    for i in np.nonzero(counts)[0]:
+    for i in counts.nonzero()[0].tolist():
         name = names[i]
         per[name] = per.get(name, 0) + int(counts[i])
 
@@ -806,15 +887,10 @@ class BatchedClosedDriver:
         n = mix.clients
         # Session types drawn exactly like the classic constructor: one
         # uniform per client against the browse fraction.
-        draws = np.array([self.rng.uniform() for _ in range(n)])
+        draws = self.rng.uniform(size=n)
         self.stype = (draws >= mix.browse_fraction).astype(np.int8)
-        self.walks = (
-            _MatrixWalk(matrices[SessionType.BROWSE], self.physics.table),
-            _MatrixWalk(matrices[SessionType.BID], self.physics.table),
-        )
-        self.state = np.empty(n, dtype=np.int64)
-        for t in (0, 1):
-            self.state[self.stype == t] = self.walks[t].initial_index
+        self.walks = _MatrixWalk(matrices, self.physics.table)
+        self.state = self.walks.initial[self.stype]
         self.wake = np.full(n, np.inf)
         self.done_at = np.full(n, -np.inf)
         # Per-session request counter; mirrors the classic
@@ -835,9 +911,7 @@ class BatchedClosedDriver:
     def start(self) -> None:
         rng = self.rng
         n = self.stype.size
-        self.wake = np.array(
-            [rng.uniform(0.0, max(self._ramp_s, 1e-9)) for _ in range(n)]
-        )
+        self.wake = rng.uniform(0.0, max(self._ramp_s, 1e-9), n)
         for session_type in SessionType:
             schedule = self.mix.burst_schedule(session_type)
             times = schedule.sample_times(rng)
@@ -873,30 +947,23 @@ class BatchedClosedDriver:
 
     def _drain(self, tick_time: float) -> None:
         physics = self.physics
-        table = physics.table
-        names = table.names
+        walks = self.walks
         stats = self.stats
         mix_think = self.mix.think_time_s
-        began = False
+        cohorts: List[np.ndarray] = []
         while True:
-            due = np.nonzero(self.wake <= tick_time)[0]
+            due = (self.wake <= tick_time).nonzero()[0]
             if due.size == 0:
                 break
-            if not began:
+            if not cohorts:
                 physics.begin_drain()
-                began = True
-            due = due[np.argsort(self.wake[due], kind="stable")]
+            due = due[self.wake[due].argsort(kind="stable")]
             t0 = self.wake[due]
-            # Step the chains (per session type, vectorized CDF inversion).
-            g = np.empty(due.size, dtype=np.int64)
-            for t in (0, 1):
-                mask = self.stype[due] == t
-                if mask.any():
-                    walk = self.walks[t]
-                    nxt = walk.step(self.rng, self.state[due[mask]])
-                    self.state[due[mask]] = nxt
-                    g[mask] = walk.to_global[nxt]
-            _record_requests(stats, names, g)
+            # Step the chains (vectorized CDF inversion).
+            nxt = walks.step(self.rng, self.stype[due], self.state[due])
+            self.state[due] = nxt
+            g = walks.to_global[nxt]
+            cohorts.append(g)
             if self.meter is not None:
                 self.meter.record_batch(t0)
             trace = None
@@ -911,8 +978,9 @@ class BatchedClosedDriver:
             thinks = self.rng.exponential(mix_think, due.size)
             self.done_at[due] = t_done
             self.wake[due] = t_done + thinks
-        if began:
+        if cohorts:
             physics.end_drain(tick_time)
+            _record_requests(stats, physics.table.names, cohorts)
 
 
 class BatchedOpenDriver(AdmissionLedger):
@@ -952,10 +1020,7 @@ class BatchedOpenDriver(AdmissionLedger):
             sim, deployment, streams.stream("batched.demand"), tracer=tracer
         )
         self.tracer = tracer
-        self.walks = (
-            _MatrixWalk(matrices[SessionType.BROWSE], self.physics.table),
-            _MatrixWalk(matrices[SessionType.BID], self.physics.table),
-        )
+        self.walks = _MatrixWalk(matrices, self.physics.table)
         # Session slots (SoA with a free list).
         capacity = 64
         self.wake = np.full(capacity, np.inf)
@@ -1008,7 +1073,7 @@ class BatchedOpenDriver(AdmissionLedger):
         slot = self._free.pop()
         type_index = 0 if self.rng.uniform() < self.mix.browse_fraction else 1
         self.stype[slot] = type_index
-        self.state[slot] = self.walks[type_index].initial_index
+        self.state[slot] = self.walks.initial[type_index]
         self.remaining[slot] = self.requests_per_session
         self.wake[slot] = t
         self.active[slot] = True
@@ -1026,8 +1091,7 @@ class BatchedOpenDriver(AdmissionLedger):
     # -- the drain ----------------------------------------------------------
 
     def _drain(self, tick_time: float) -> None:
-        physics = self.physics
-        began = False
+        cohorts: List[np.ndarray] = []
 
         # 1. Offer this tick's arrivals (and due retries) in time order.
         arrivals: List[float] = []
@@ -1070,7 +1134,7 @@ class BatchedOpenDriver(AdmissionLedger):
         #    freed by completions inside the window).
         finishes: List[float] = []
         while True:
-            began = self._run_waves(tick_time, began, finishes)
+            self._run_waves(tick_time, cohorts, finishes)
             if not pending:
                 break
             finishes.sort()
@@ -1114,41 +1178,39 @@ class BatchedOpenDriver(AdmissionLedger):
                         self._admit(offer_time)
                     else:
                         self._handle_shed(offer_time, attempt)
-                began = self._run_waves(tick_time, began, finishes)
+                self._run_waves(tick_time, cohorts, finishes)
 
-        if began:
+        if cohorts:
+            physics = self.physics
             physics.end_drain(tick_time)
+            _record_requests(self.stats, physics.table.names, cohorts)
 
     def _run_waves(
-        self, tick_time: float, began: bool, finishes: List[float]
-    ) -> bool:
+        self, tick_time: float, cohorts: List[np.ndarray],
+        finishes: List[float],
+    ) -> None:
         """Process due request waves until no session wakes inside the tick.
 
-        Appends the exact finish time of every session that completes to
-        ``finishes`` (the admission gate's evidence) and returns whether
-        ``physics.begin_drain`` has been called.
+        Appends each wave's interaction indices to ``cohorts`` (the
+        drain calls ``physics.begin_drain`` before its first wave) and
+        the exact finish time of every session that completes to
+        ``finishes`` (the admission gate's evidence).
         """
         physics = self.physics
-        names = physics.table.names
+        walks = self.walks
         stats = self.stats
         while True:
-            due = np.nonzero(self.active & (self.wake <= tick_time))[0]
+            due = (self.active & (self.wake <= tick_time)).nonzero()[0]
             if due.size == 0:
                 break
-            if not began:
+            if not cohorts:
                 physics.begin_drain()
-                began = True
-            due = due[np.argsort(self.wake[due], kind="stable")]
+            due = due[self.wake[due].argsort(kind="stable")]
             t0 = self.wake[due]
-            g = np.empty(due.size, dtype=np.int64)
-            for type_index in (0, 1):
-                mask = self.stype[due] == type_index
-                if mask.any():
-                    walk = self.walks[type_index]
-                    nxt = walk.step(self.rng, self.state[due[mask]])
-                    self.state[due[mask]] = nxt
-                    g[mask] = walk.to_global[nxt]
-            _record_requests(stats, names, g)
+            nxt = walks.step(self.rng, self.stype[due], self.state[due])
+            self.state[due] = nxt
+            g = walks.to_global[nxt]
+            cohorts.append(g)
             trace = None
             if self.tracer is not None:
                 sids = self.serial[due]
@@ -1166,14 +1228,13 @@ class BatchedOpenDriver(AdmissionLedger):
                 done_slots = due[finished]
                 self.active[done_slots] = False
                 self.wake[done_slots] = np.inf
-                self._free.extend(int(s) for s in done_slots)
+                self._free.extend(done_slots.tolist())
                 self.sessions_completed += int(done_slots.size)
                 self._in_flight -= int(done_slots.size)
-                finishes.extend(float(v) for v in t_done[finished])
+                finishes.extend(t_done[finished].tolist())
             live = due[~finished]
             if live.size:
                 thinks = self.rng.exponential(
                     self.mix.think_time_s, live.size
                 )
                 self.wake[live] = t_done[~finished] + thinks
-        return began

@@ -5,10 +5,13 @@ frames; the batched engine advances whole *cohorts* of requests as
 numpy column arrays.  This module holds the engine-agnostic pieces:
 
 * :func:`lindley` — the vectorized busy-until recursion shared by every
-  single-queue device (NIC direction, disk spindle),
+  single-queue device (NIC direction, disk spindle); one pass also
+  serves a transfer's sender and receiver queues when both see the
+  same services,
 * :class:`FcfsPool` — a c-server FCFS station over arrival/duration
   arrays with a vectorized no-queue fast path and an exact heap
-  fallback, carrying worker state across drains,
+  fallback, carrying worker state across drains as a sorted array that
+  snapshots share instead of copy,
 * :func:`bulk_cancel` — cancel a batch of events through
   ``Simulator.cancel`` (the pattern the compaction property test
   exercises),
@@ -23,7 +26,7 @@ path) lives in :mod:`repro.rubis.batched`.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,8 +45,11 @@ DRAIN_PRIORITY = 25
 
 
 def lindley(
-    times: np.ndarray, services: np.ndarray, busy_until: float
-) -> Tuple[np.ndarray, float]:
+    times: np.ndarray,
+    services: np.ndarray,
+    busy_until: float,
+    sender_busy: Optional[float] = None,
+) -> tuple:
     """Busy-until recursion over a sorted batch of submissions.
 
     Vectorizes ``c_i = max(t_i, c_{i-1}) + s_i`` (with ``c_{-1} =
@@ -57,16 +63,33 @@ def lindley(
 
     Returns ``(completions, new_busy_until)``.  ``times`` must be
     nondecreasing; completions then are too.
+
+    ``sender_busy`` serves a transfer that leaves one queue and enters
+    another: the same submissions with the same services, seeded at a
+    second busy time.  Nothing reads the sender's completions, only its
+    frontier ``max(sender_busy, max_i(t_i - S_{i-1})) + S_{n-1}``, which
+    shares ``S`` and the offsets with this pass and equals the last
+    completion of a pass of its own exactly (``max`` does not round, and
+    the final add is the same add).  The call then returns
+    ``(completions, new_busy_until, new_sender_busy)``.
     """
     if times.size == 0:
-        return times, busy_until
-    cumulative = np.cumsum(services)
+        if sender_busy is None:
+            return times, busy_until
+        return times, busy_until, sender_busy
+    cumulative = services.cumsum()
     offsets = times - cumulative + services  # t_i - S_{i-1}
+    if sender_busy is not None:
+        sender_busy = max(sender_busy, float(offsets.max())) + float(
+            cumulative[-1]
+        )
     if busy_until > offsets[0]:
         offsets[0] = busy_until
     np.maximum.accumulate(offsets, out=offsets)
     completions = offsets + cumulative
-    return completions, float(completions[-1])
+    if sender_busy is None:
+        return completions, float(completions[-1])
+    return completions, float(completions[-1]), sender_busy
 
 
 class FcfsPool:
@@ -82,6 +105,11 @@ class FcfsPool:
     Away from saturation no request waits; that case is detected with a
     vectorized occupancy bound and served without the Python loop.  The
     exact heap simulation only runs for cohorts that actually queue.
+
+    The worker free times are kept as a sorted array, and the pool never
+    writes into that array: every update binds a new one.  So
+    :meth:`snapshot` hands out the array itself and :meth:`restore` takes
+    it back without a copy or a sort.
     """
 
     __slots__ = ("workers", "_free")
@@ -90,11 +118,12 @@ class FcfsPool:
         if workers < 1:
             raise ConfigurationError("a pool needs at least one worker")
         self.workers = int(workers)
-        self._free: List[float] = [0.0] * self.workers
+        self._free = np.zeros(self.workers)
 
     def busy_count(self, at_time: float) -> int:
         """Workers still serving past ``at_time``."""
-        return sum(1 for f in self._free if f > at_time)
+        free = self._free
+        return int(free.size - free.searchsorted(at_time, side="right"))
 
     def schedule(
         self, arrivals: np.ndarray, durations: np.ndarray
@@ -111,66 +140,64 @@ class FcfsPool:
             empty = arrivals[:0]
             return empty, empty, empty
         workers = self.workers
-        carried = np.sort(np.asarray(self._free))
+        carried = self._free
         # Occupancy bound assuming nobody queues: carried-over busy
-        # workers plus in-cohort predecessors still in service.
+        # workers plus in-cohort predecessors still in service, plus
+        # the request itself.
         no_queue_comp = arrivals + durations
-        done_sorted = np.sort(no_queue_comp)
-        in_cohort = (
-            np.arange(n)
-            - np.searchsorted(done_sorted, arrivals, side="right")
+        done_sorted = no_queue_comp.copy()
+        done_sorted.sort()
+        carried_done = carried.searchsorted(arrivals, side="right")
+        ranks = np.arange(carried.size + 1, carried.size + 1 + n)
+        occupancy = (
+            ranks - done_sorted.searchsorted(arrivals, side="right")
+            - carried_done
         )
-        carried_busy = carried.size - np.searchsorted(
-            carried, arrivals, side="right"
-        )
-        occupancy = in_cohort + carried_busy + 1
         if int(occupancy.max()) <= workers:
             # No request waits: starts == arrivals, and each worker's
             # final free time is one of the c largest completion/carry
             # values (a worker's free times only grow, so a dominated
             # completion can never be a worker's last).
-            pool = np.concatenate([carried, no_queue_comp])
-            pool.partition(pool.size - workers)
-            self._free = pool[pool.size - workers:].tolist()
+            pool = np.concatenate((carried, no_queue_comp))
+            pool.sort()
+            self._free = pool[-workers:]
             return arrivals, no_queue_comp, occupancy
-        # Exact path: the heap simulation the event engine performs.
-        free = list(self._free)
-        heapq.heapify(free)
-        starts = np.empty(n)
-        completions = np.empty(n)
-        occ = np.empty(n, dtype=np.int64)
-        finished: List[float] = []
-        for i in range(n):
-            arrival = arrivals[i]
+        # Exact path: the heap simulation the event engine performs.  A
+        # sorted list is already a heap.
+        free = carried.tolist()
+        starts = []
+        completions = []
+        for arrival, duration in zip(arrivals.tolist(), durations.tolist()):
             worker_free = heapq.heappop(free)
             start = arrival if arrival > worker_free else worker_free
-            completion = start + durations[i]
+            completion = start + duration
             heapq.heappush(free, completion)
-            starts[i] = start
-            completions[i] = completion
-            finished.append(completion)
-        finished_sorted = np.sort(np.asarray(finished))
-        in_cohort = (
-            np.arange(n)
-            - np.searchsorted(finished_sorted, arrivals, side="right")
+            starts.append(start)
+            completions.append(completion)
+        finished_sorted = np.array(completions)
+        finished_sorted.sort()
+        occupancy = (
+            ranks - finished_sorted.searchsorted(arrivals, side="right")
+            - carried_done
         )
-        occ = in_cohort + (
-            carried.size - np.searchsorted(carried, arrivals, side="right")
-        ) + 1
-        self._free = free
-        return starts, completions, occ
+        free.sort()
+        self._free = np.array(free)
+        return np.array(starts), np.array(completions), occupancy
 
-    def snapshot(self) -> List[float]:
-        """The current worker-free multiset (for window bracketing)."""
-        return list(self._free)
+    def snapshot(self) -> np.ndarray:
+        """The current worker free times (sorted, shared: do not write)."""
+        return self._free
 
-    def restore(self, state: List[float]) -> None:
-        """Reset the worker-free multiset to a snapshot."""
-        self._free = list(state)
+    def restore(self, state) -> None:
+        """Reset the worker free times to a snapshot.
 
-    def merge_window(
-        self, base: List[float], completions: List[np.ndarray]
-    ) -> None:
+        An array is taken as the sorted snapshot it must be; any other
+        sequence of free times is sorted first.
+        """
+        free = np.asarray(state, dtype=float)
+        self._free = free if free is state else np.sort(free)
+
+    def merge_window(self, base, completions: List[np.ndarray]) -> None:
         """Fold a drain window's waves into one carried worker state.
 
         Waves inside one drain window overlap in time, so each is
@@ -180,30 +207,27 @@ class FcfsPool:
         the final worker-free multiset when no request waits, and a
         close bound when one wave queued internally.
         """
-        arrays = [np.asarray(base, dtype=float)]
-        arrays.extend(c for c in completions if c.size)
-        pool = np.concatenate(arrays)
-        if pool.size > self.workers:
-            pool.partition(pool.size - self.workers)
-            pool = pool[pool.size - self.workers:]
-        self._free = pool.tolist()
+        pool = np.concatenate(
+            [np.asarray(base, dtype=float)] + [c for c in completions if c.size]
+        )
+        pool.sort()
+        self._free = pool[-self.workers:]
 
     def rescale_remaining(self, now: float, factor: float) -> int:
         """Stretch the remaining busy time of every active worker.
 
         The batched counterpart of ``QueueingStation.rescale_in_flight``
         — the live-migration pause actuator.  Returns the number of
-        workers re-scaled.
+        workers re-scaled.  A positive factor keeps the free times in
+        order.
         """
         if factor <= 0:
             raise ConfigurationError("rescale factor must be positive")
-        rescaled = 0
-        for i, free in enumerate(self._free):
-            remaining = free - now
-            if remaining > 0.0:
-                self._free[i] = now + remaining * factor
-                rescaled += 1
-        return rescaled
+        free = self._free
+        remaining = free - now
+        busy = remaining > 0.0
+        self._free = np.where(busy, now + remaining * factor, free)
+        return int(busy.sum())
 
 
 def bulk_cancel(sim, events: Iterable) -> int:
