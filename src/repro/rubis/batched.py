@@ -21,6 +21,22 @@ Two drivers mirror the classic traffic drivers one-for-one:
   :func:`~repro.traffic.spec.build_process`, so the offered arrival
   times are bit-identical to the classic engine at matched seeds.
 
+A drain runs one or more *waves*; a wave is one cohort pushed through
+:meth:`BatchedPhysics.process`, so what a wave costs beyond its rows is
+paid again by every wave.  The request path therefore keeps one record
+per hop (:class:`_Hop`: request, query out and in, result out and in,
+response, web write, db write, db read) and one per tier
+(:class:`_Tier`).  A record caches identities only (the device, its
+counters, the owners, dom0's backend) and is rebuilt when a live
+migration rebinds a context to another hypervisor; everything a fault
+can change (bandwidths, disk latency, the device busy times, scheduler
+fractions) is re-read at every drain start.  A wave gathers its
+per-interaction columns once, sums each hop's bytes once, and serves
+each tier-to-tier transfer's sending and receiving lanes with one
+:func:`~repro.sim.batched.lindley` pass.  Both drivers step both
+session types with one draw per wave and fold the per-interaction
+request counts into the session stats once per drain.
+
 The batched engine is a deliberate RNG epoch: request-path randomness
 moves to the ``batched.*`` streams (drawn as arrays), so traces are
 *equivalent in distribution* to the classic engine — verified by
@@ -298,6 +314,18 @@ class _Tier:
         self.charge(self.owner, cycles_total)
 
 
+#: Per hop direction: the device's busy register, its rate attribute,
+#: its per-owner byte counters, and the dom0 backend's per-guest ones.
+_DIRECTIONS = {
+    "rx": ("_rx_busy_until", "bandwidth_bps", "_rx_bytes", "_vm_rx"),
+    "tx": ("_tx_busy_until", "bandwidth_bps", "_tx_bytes", "_vm_tx"),
+    "read": ("_busy_until", "read_bandwidth_bps", "_bytes_read", "_vm_read"),
+    "write": (
+        "_busy_until", "write_bandwidth_bps", "_bytes_written", "_vm_written",
+    ),
+}
+
+
 class _Hop:
     """One hop of the request path: its byte accounting and its lane.
 
@@ -330,42 +358,27 @@ class _Hop:
     )
 
     def __init__(self, context, hypervisor, direction: str) -> None:
+        busy, rate_attr, counters, guest = _DIRECTIONS[direction]
         self.direction = direction
         self.disk = direction in ("read", "write")
+        self.busy = busy
+        self.rate_attr = rate_attr
         if hypervisor is None:
             self.backend = self.guest = None
             self.os_model = context.os_model
-            server = context.server
-            self.device = server.disk if self.disk else server.nic
             self.owner = context.owner
+            host = context.server
         else:
-            self.backend = (
+            # dom0's split driver fronts the server's device.
+            self.backend = host = (
                 hypervisor.block_backend if self.disk
                 else hypervisor.net_backend
             )
-            self.guest = getattr(self.backend, {
-                "rx": "_vm_rx", "tx": "_vm_tx",
-                "read": "_vm_read", "write": "_vm_written",
-            }[direction])
+            self.guest = getattr(self.backend, guest)
             self.guest_owner = context.owner
-            self.device = (
-                self.backend.disk if self.disk else self.backend.nic
-            )
             self.owner = DOM0_OWNER
-        device = self.device
-        if self.disk:
-            self.busy = "_busy_until"
-            self.rate_attr = f"{direction}_bandwidth_bps"
-            self.counters = (
-                device._bytes_read if direction == "read"
-                else device._bytes_written
-            )
-        else:
-            self.busy = f"_{direction}_busy_until"
-            self.rate_attr = "bandwidth_bps"
-            self.counters = (
-                device._rx_bytes if direction == "rx" else device._tx_bytes
-            )
+        self.device = host.disk if self.disk else host.nic
+        self.counters = getattr(self.device, counters)
 
     def refresh(self) -> None:
         device = self.device
@@ -454,11 +467,11 @@ class BatchedPhysics:
 
     def _bind(self, web_hv, db_hv) -> None:
         """Build the tier and hop records for the current placement."""
-        d = self.deployment
+        web = self.deployment.web_context
+        db = self.deployment.db_context
         self._bound = (web_hv, db_hv)
-        self._web = _Tier(d.web_context, web_hv)
-        self._db = _Tier(d.db_context, db_hv)
-        web, db = d.web_context, d.db_context
+        self._web = _Tier(web, web_hv)
+        self._db = _Tier(db, db_hv)
         self._request = _Hop(web, web_hv, "rx")
         self._query_out = _Hop(web, web_hv, "tx")
         self._query_in = _Hop(db, db_hv, "rx")
@@ -490,9 +503,9 @@ class BatchedPhysics:
             db_hv = d.db_context.hypervisor
         else:
             web_hv = db_hv = None
-        if self._bound is None or (
-            self._bound[0] is not web_hv or self._bound[1] is not db_hv
-        ):
+        bound = self._bound
+        if bound is None or bound[0] is not web_hv or bound[1] is not db_hv:
+            # First drain, or a live migration rebound a context.
             self._bind(web_hv, db_hv)
         self._web.refresh()
         self._db.refresh()

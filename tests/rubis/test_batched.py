@@ -59,6 +59,27 @@ class TestLindley:
         assert np.allclose(fast, slow)
         assert busy_fast == pytest.approx(busy_slow)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_paired_pass_equals_two_separate_passes(self, seed):
+        rng = np.random.default_rng(seed)
+        times = np.sort(rng.uniform(0, 1, 40))
+        services = rng.exponential(0.02, 40)
+        for rx_busy, tx_busy in ((0.0, 0.0), (0.5, 2.0), (3.0, 0.1)):
+            completions, busy, sender = lindley(
+                times, services, rx_busy, tx_busy
+            )
+            alone, alone_busy = lindley(times, services, rx_busy)
+            _, sender_alone = lindley(times, services, tx_busy)
+            # Bit for bit, not approximately: the pair is a pure
+            # refactoring of two passes.
+            assert np.array_equal(completions, alone)
+            assert busy == alone_busy
+            assert sender == sender_alone
+
+    def test_paired_empty_batch(self):
+        times = np.array([])
+        assert lindley(times, times, 1.0, 2.0)[1:] == (1.0, 2.0)
+
 
 class TestFcfsPool:
     def test_rejects_zero_workers(self):
@@ -117,6 +138,22 @@ class TestFcfsPool:
         pool.schedule(np.array([5.0]), np.array([1.0]))
         pool.restore(saved)
         assert sorted(pool.snapshot()) == sorted(saved)
+
+    def test_snapshot_is_never_written(self):
+        pool = FcfsPool(3)
+        pool.schedule(np.array([0.0, 0.5]), np.array([2.0, 3.0]))
+        saved = pool.snapshot()
+        kept = saved.copy()
+        pool.schedule(np.array([1.0, 1.0, 1.0]), np.array([4.0, 4.0, 4.0]))
+        pool.rescale_remaining(1.5, 2.0)
+        pool.merge_window(saved, [np.array([9.0])])
+        assert np.array_equal(saved, kept)
+
+    def test_restore_sorts_a_plain_sequence(self):
+        pool = FcfsPool(3)
+        pool.restore([9.0, 1.0, 5.0])
+        assert list(pool.snapshot()) == [1.0, 5.0, 9.0]
+        assert pool.busy_count(4.0) == 2
 
     def test_merge_window_keeps_c_largest(self):
         pool = FcfsPool(2)
