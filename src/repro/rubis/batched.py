@@ -197,11 +197,8 @@ class _MatrixWalk:
         then to the bid rows, each in cohort order, which is the stream
         one draw call per session type would consume.
         """
-        draws = rng.random(states.size)
-        if stype.any() and not stype.all():
-            by_type = np.empty_like(draws)
-            by_type[stype.argsort(kind="stable")] = draws
-            draws = by_type
+        draws = np.empty(states.size)
+        draws[stype.argsort(kind="stable")] = rng.random(states.size)
         local = (self.cdf_rows[states] <= draws[:, None]).sum(axis=1)
         return local + self.base[states]
 
@@ -521,12 +518,8 @@ class BatchedPhysics:
         self._db_comps: list = []
 
     def end_drain(self, horizon: float) -> None:
-        if self._wave > 1:
-            # One wave already left each pool holding the c largest of
-            # its start state and completions; only overlapping waves
-            # need folding.
-            self.web_pool.merge_window(self._web_free0, self._web_comps)
-            self.db_pool.merge_window(self._db_free0, self._db_comps)
+        self.web_pool.merge_window(self._web_free0, self._web_comps)
+        self.db_pool.merge_window(self._db_free0, self._db_comps)
         for device, busy, hops in self._queues:
             setattr(device, busy, max(hop.frontier for hop in hops))
         if self.virtualized:
