@@ -622,9 +622,9 @@ class BatchedPhysics:
         response_bytes = response_base * rng.lognormal(
             response_mu, response_sigma
         )
-        pages = table.pages[g]
-        missed = rng.binomial(pages, self.buffer_pool._miss_probability)
         pool = self.buffer_pool
+        pages = table.pages[g]
+        missed = rng.binomial(pages, pool._miss_probability)
         misses = int(missed.sum())
         pool.hits += int(pages.sum()) - misses
         pool.misses += misses
