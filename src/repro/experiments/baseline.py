@@ -30,12 +30,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
-
-from dataclasses import replace
 
 from repro.experiments.scenarios import (
     ENGINES,
@@ -144,8 +143,7 @@ def result_fingerprint(result) -> str:
     Hashes every trace series (times and values, exact IEEE doubles),
     the completed-request count, the response-time samples and, when
     the run sampled any, its request span trees, so any bitwise drift
-    in a pinned engine shows up as a fingerprint change.  A run without
-    request traces hashes exactly what it did before traces were added.
+    in a pinned engine shows up as a fingerprint change.
     """
     digest = hashlib.sha256()
     for key in sorted(result.traces.keys()):

@@ -837,7 +837,7 @@ def _record_requests(
     stats: SessionStats, names, cohorts: List[np.ndarray]
 ) -> None:
     """Fold one drain's interaction indices into the session stats."""
-    g = cohorts[0] if len(cohorts) == 1 else np.concatenate(cohorts)
+    g = np.concatenate(cohorts)
     stats.requests_sent += g.size
     counts = np.bincount(g, minlength=len(names))
     per = stats.per_interaction

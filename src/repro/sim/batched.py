@@ -19,10 +19,11 @@ numpy column arrays.  This module holds the engine-agnostic pieces:
   tick sits in the event ordering (after scheduler epochs and
   housekeeping at a shared timestamp, before the 2 s samplers).
 
-Both run once per wave on arrays of a few to a few hundred rows, where
-numpy's fixed cost per call rivals the arithmetic, so they call array
-methods (``x.cumsum()``, ``x.searchsorted(...)``) rather than the
-``np.*`` wrappers, which cost about 1 µs more per call on numpy 2.4.
+:func:`lindley` and :class:`FcfsPool` run once per wave on arrays of a
+few to a few hundred rows, where numpy's fixed cost per call rivals
+the arithmetic, so they call array methods (``x.cumsum()``,
+``x.searchsorted(...)``) rather than the ``np.*`` wrappers, which cost
+about 1 µs more per call on numpy 2.4.
 
 Everything application-specific (demand sampling, the RUBiS request
 path) lives in :mod:`repro.rubis.batched`.
