@@ -69,8 +69,6 @@ def _load_imbalance(spec) -> float:
 
     prepared = prepare_run(spec)
     engine = prepared.testbed.engine
-    if engine is None:
-        return 1.0
     committed = [load.committed_vcpus for load in engine.server_loads()]
     mean = sum(committed) / len(committed)
     return max(committed) / mean if mean else 1.0

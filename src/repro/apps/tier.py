@@ -138,8 +138,8 @@ class VirtualizedContext(ExecutionContext):
         domain = self.domain
         # The request path crosses this adapter for every service start;
         # the fixed (hypervisor, domain) targets are prebound so each
-        # crossing costs one frame instead of a delegation chain (the
-        # methods below document the contracts they shadow).
+        # crossing costs one frame instead of a delegation chain
+        # (ExecutionContext documents the contracts they implement).
         self.charge_cpu = partial(
             hypervisor.server.cpu.ledger.charge, domain.owner
         )
@@ -212,32 +212,8 @@ class VirtualizedContext(ExecutionContext):
         """
         self._bind(hypervisor)
 
-    def cpu_time(self, cycles: float) -> float:
-        return self.hypervisor.cpu_time(self.domain, cycles)
-
-    def pure_cpu_time(self, cycles: float) -> float:
-        return self.hypervisor.server.cpu.service_time(cycles)
-
-    def charge_cpu(self, cycles: float) -> None:
-        self.hypervisor.charge_vm_cycles(self.domain, cycles)
-
-    def account_request(self, scale: float = 1.0) -> None:
-        self.hypervisor.account_request(self.domain, scale)
-
     def account_commit(self) -> None:
         self.hypervisor.account_commit(self.domain)
-
-    def disk_read(self, size_bytes: float) -> float:
-        return self.hypervisor.disk_read(self.domain, size_bytes)
-
-    def disk_write(self, size_bytes: float) -> float:
-        return self.hypervisor.disk_write(self.domain, size_bytes)
-
-    def net_receive(self, size_bytes: float) -> float:
-        return self.hypervisor.net_receive(self.domain, size_bytes)
-
-    def net_transmit(self, size_bytes: float) -> float:
-        return self.hypervisor.net_transmit(self.domain, size_bytes)
 
     def set_memory(self, used_bytes: float) -> None:
         self.hypervisor.set_vm_memory(self.domain, used_bytes)
@@ -333,9 +309,6 @@ class BareMetalContext(ExecutionContext):
     def pure_cpu_time(self, cycles: float) -> float:
         # No hypervisor: bare-metal service already runs uncontended.
         return self.server.cpu.service_time(cycles)
-
-    def charge_cpu(self, cycles: float) -> None:
-        self.server.cpu.charge(self.owner, cycles)
 
     def account_request(self, scale: float = 1.0) -> None:
         self.server.cpu.charge(

@@ -58,8 +58,8 @@ class ExperimentConfig:
     #: ``--controller`` syntax, expanded to a default-band
     #: :class:`~repro.control.spec.ControllerSpec`.
     controller: Optional[str] = None
-    #: Physical servers in the fleet (>1 builds the multi-server
-    #: testbed through the placement engine).
+    #: Physical servers the placement engine builds (1 = the paper's
+    #: single host; see ``Scenario.servers`` for the capacity rule).
     servers: int = 1
     #: Placement policy token (``firstfit``/``bestfit``/``balance``/
     #: ``priority``); None keeps the scenario default (first-fit).

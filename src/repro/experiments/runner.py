@@ -29,8 +29,6 @@ from repro.rubis.client import SessionStats
 from repro.rubis.deployment import Deployment
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
-from repro.rubis.batched import BatchedOpenDriver
-from repro.traffic.driver import OpenLoopDriver
 from repro.traffic.trace import RateTrace
 from repro.experiments.scenarios import Scenario
 from repro.experiments.testbed import (  # noqa: F401  (compat re-exports)
@@ -89,9 +87,7 @@ class ExperimentResult:
     @property
     def open_loop(self) -> bool:
         """True when an open-loop driver (either engine) produced this."""
-        return isinstance(
-            self.population, (OpenLoopDriver, BatchedOpenDriver)
-        )
+        return self.scenario.open_loop
 
     @property
     def p95_response_time_s(self) -> float:
@@ -187,11 +183,7 @@ class PreparedRun:
                 else None
             ),
             traffic_report=(
-                population.summary()
-                if isinstance(
-                    population, (OpenLoopDriver, BatchedOpenDriver)
-                )
-                else None
+                population.summary() if scenario.open_loop else None
             ),
             tenant_reports=testbed.tenant_reports(),
             interference=testbed.interference_report(),

@@ -36,6 +36,7 @@ from repro.faults.spec import (
 from repro.placement.spec import (
     FIRST_FIT,
     FleetSpec,
+    server_names,
     validate_placement_policy,
 )
 from repro.rubis.workload import (
@@ -107,10 +108,13 @@ class Scenario:
     scale: float = 1.0
     tenants: Tuple[TenantSpec, ...] = ()
     controller: Optional[ControllerSpec] = None
-    #: Physical servers in the fleet (1 = the paper's single host; >1
-    #: builds a multi-server testbed through the placement engine).
+    #: Physical servers the placement engine assigns VMs to (1 = the
+    #: paper's single host).  A lone server's guests may oversubscribe
+    #: its cores without bound; a fleet caps VCPUs at
+    #: ``DEFAULT_VCPU_OVERCOMMIT`` x cores.  Memory is hard on both.
     servers: int = 1
-    #: Placement policy assigning VMs to servers (multi-server only).
+    #: Placement policy assigning VMs to servers (on one server every
+    #: policy places every VM there).
     placement: str = FIRST_FIT
     #: Fleet controller spec: watches per-server signals and triggers
     #: rebalancing live migrations mid-run (requires ``servers >= 2``).
@@ -206,6 +210,18 @@ class Scenario:
                     "a bot_flood fault is not supported on the batched "
                     "engine; run it on the classic engine"
                 )
+            vms = ("web-vm", "db-vm") + tuple(
+                f"{t.name}-vm" for t in self.tenants
+            )
+            for fault in self.faults:
+                valid = vms
+                if fault.server_target:
+                    valid = server_names(self.servers) + vms
+                if fault.target and fault.target not in valid:
+                    raise ConfigurationError(
+                        f"fault {fault.as_cli_token()} targets unknown "
+                        f"{fault.target!r}; choose from {valid}"
+                    )
 
     @property
     def controlled(self) -> bool:

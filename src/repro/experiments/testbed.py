@@ -2,22 +2,20 @@
 
 The :class:`TestbedBuilder` is the consolidation layer between the
 scenario vocabulary and the simulated hardware.  It has two build
-paths, plus the paper's bare-metal testbed:
+paths:
 
-* a **single-server** virtualized scenario builds one
-  :class:`~repro.virt.hypervisor.Hypervisor` first, attaches the web
-  VMs to it (the calibrated
+* a **virtualized** scenario, on one server or many, places every VM
+  through the :class:`~repro.placement.engine.PlacementEngine` (one
+  :class:`~repro.virt.hypervisor.Hypervisor` per server), attaches the
+  web VMs to the web pair's hypervisor (the calibrated
   :class:`~repro.rubis.deployment.VirtualizedDeployment`), then creates
-  one extra domain per :class:`~repro.workloads.base.TenantSpec` and
-  wires the tenant's workload (e.g. MapReduce) into that VM's
-  :class:`~repro.apps.tier.VirtualizedContext`.  All tenants share the
-  physical cores through the credit scheduler and the dom0 block/net
-  backends — the two interference channels the consolidation scenarios
-  measure.  With no tenants this is exactly the paper's testbed, with
-  bit-identical traces;
-* a **multi-server** scenario places every VM through the
-  :class:`~repro.placement.engine.PlacementEngine`, one hypervisor per
-  server;
+  one extra domain per :class:`~repro.workloads.base.TenantSpec` on
+  the server the engine chose and wires the tenant's workload (e.g.
+  MapReduce) into that VM's :class:`~repro.apps.tier.VirtualizedContext`.
+  Co-resident tenants share the physical cores through the credit
+  scheduler and the dom0 block/net backends — the two interference
+  channels the consolidation scenarios measure.  One server with no
+  tenants is exactly the paper's testbed, with bit-identical traces;
 * a **bare-metal** scenario assembles the calibrated
   :class:`~repro.rubis.deployment.BareMetalDeployment` with its private
   servers.
@@ -29,6 +27,7 @@ samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Dict, List, Optional
 
@@ -38,12 +37,11 @@ from repro.errors import ConfigurationError
 from repro.faults.controller import FaultController, PlannedFault
 from repro.faults.injectors import build_injector
 from repro.faults.spec import CAP_THEFT, FLASH_CROWD, FaultSpec
-from repro.hardware.cluster import Cluster
 from repro.monitoring.probes import Dom0Probe, Probe
 from repro.obs.recorder import ObsRecorder
 from repro.placement.engine import PlacementEngine
 from repro.placement.fleet import FleetController
-from repro.placement.spec import VmRequest
+from repro.placement.spec import DEFAULT_VCPU_OVERCOMMIT, VmRequest
 from repro.traffic.shapes import CompositeShape, FlashCrowdShape
 from repro.rubis.deployment import (
     DEFAULT_VM_MEMORY_BYTES,
@@ -130,8 +128,8 @@ class Testbed:
         self.tenants = tenants
         self.hypervisor = hypervisor
         self.controllers = list(controllers or [])
-        #: Placement engine of a multi-server testbed (None on the
-        #: single-hypervisor paths, which stay bit-identical).
+        #: Placement engine of a virtualized testbed, one server or
+        #: many (None on bare metal only).
         self.engine = engine
         #: Observation recorder of an ``observe=True`` build (also in
         #: ``controllers``, so it starts/stops/merges like the rest).
@@ -195,7 +193,7 @@ class Testbed:
         """
         if self.hypervisor is None:
             return None
-        if self.engine is None:
+        if not self.scenario.multi_server:
             return {"cpu_ready_s": self.hypervisor.cpu_ready_report()}
         merged: Dict[str, float] = {}
         per_server: Dict[str, Dict[str, float]] = {}
@@ -214,12 +212,10 @@ class Testbed:
         would show.
         """
         hypervisors = (
-            list(self.engine.hypervisors.values())
-            if self.engine is not None
-            else ([self.hypervisor] if self.hypervisor is not None else [])
+            self.engine.hypervisors if self.engine is not None else {}
         )
         merged: Dict[str, Dict[str, float]] = {}
-        for hypervisor in hypervisors:
+        for hypervisor in hypervisors.values():
             for domain, bill in hypervisor.billing_report().items():
                 into = merged.setdefault(
                     domain, {"capacity_core_s": 0.0, "memory_gb_s": 0.0}
@@ -236,7 +232,7 @@ class Testbed:
         ``billing`` key: the $-side input :mod:`repro.planning.cost`
         scores against the SLA side.
         """
-        if not self.controllers and self.engine is None:
+        if not self.controllers and not self.scenario.multi_server:
             return None
         reports = {
             controller.entity: controller.report()
@@ -273,14 +269,13 @@ class TestbedBuilder:
             # process is built, so it is declarative, not actuated.
             resolved_faults = scenario.faults.resolve(scenario.seed)
             scenario = self._compose_flash_crowds(scenario, resolved_faults)
-        engine = None
-        if scenario.multi_server:
-            deployment, hypervisor, engine = self._build_fleet(scenario)
-        elif scenario.environment == VIRTUALIZED:
-            deployment, hypervisor = self._build_shared_server(scenario)
+        if scenario.environment == VIRTUALIZED:
+            deployment, hypervisor, engine = self._build_virtualized(
+                scenario
+            )
         else:
             deployment = build_deployment(self.sim, self.streams, BARE_METAL)
-            hypervisor = None
+            hypervisor = engine = None
         web = RubisWorkload(
             self.sim,
             self.streams,
@@ -292,11 +287,7 @@ class TestbedBuilder:
         tenant_contexts: Dict[str, VirtualizedContext] = {}
         for spec in scenario.tenants:
             vm_name = f"{spec.name}-vm"
-            host = (
-                engine.hypervisor_for(vm_name)
-                if engine is not None
-                else hypervisor
-            )
+            host = engine.hypervisor_for(vm_name)
             domain = host.create_domain(
                 vm_name,
                 vcpu_count=spec.vcpus,
@@ -370,16 +361,10 @@ class TestbedBuilder:
         if observe:
             # Hook every hypervisor in the testbed; bare metal has
             # none, but the recorder's SLO probe still applies.
-            if engine is not None:
-                hypervisors = dict(engine.hypervisors)
-            elif hypervisor is not None:
-                hypervisors = {hypervisor.server.name: hypervisor}
-            else:
-                hypervisors = {}
             observer = ObsRecorder(
                 self.sim,
                 web.stats,
-                hypervisors,
+                dict(engine.hypervisors) if engine is not None else {},
                 driver=web.population if web.open_loop else None,
             )
             controllers.append(observer)
@@ -421,8 +406,8 @@ class TestbedBuilder:
     def _fault_hypervisor(
         self,
         spec: FaultSpec,
-        hypervisor: Optional[Hypervisor],
-        engine: Optional[PlacementEngine],
+        hypervisor: Hypervisor,
+        engine: PlacementEngine,
     ) -> Hypervisor:
         """Resolve which hypervisor a fault actuates.
 
@@ -430,8 +415,6 @@ class TestbedBuilder:
         name (fault lands on its host) or nothing (the web server).
         ``cap_theft`` targets the victim *domain*'s host.
         """
-        if engine is None:
-            return hypervisor
         if spec.server_target:
             target = spec.target
             if target and target in engine.hypervisors:
@@ -445,8 +428,8 @@ class TestbedBuilder:
         self,
         resolved_faults,
         deployment,
-        hypervisor: Optional[Hypervisor],
-        engine: Optional[PlacementEngine],
+        hypervisor: Hypervisor,
+        engine: PlacementEngine,
     ) -> FaultController:
         """Plan every resolved fault against its target and injector."""
         plan = []
@@ -463,7 +446,7 @@ class TestbedBuilder:
         scenario: Scenario,
         web: RubisWorkload,
         hypervisor: Optional[Hypervisor],
-        engine: Optional[PlacementEngine] = None,
+        engine: Optional[PlacementEngine],
     ) -> List[ElasticController]:
         """The scenario's elastic controllers, wired to live telemetry.
 
@@ -490,16 +473,11 @@ class TestbedBuilder:
             if spec.controller is None:
                 continue
             vm_name = f"{spec.name}-vm"
-            host = (
-                engine.hypervisor_for(vm_name)
-                if engine is not None
-                else hypervisor
-            )
             controllers.append(
                 ElasticController(
                     self.sim,
                     spec.controller.for_domain(vm_name),
-                    host,
+                    engine.hypervisor_for(vm_name),
                     web.stats,
                     driver=driver,
                     entity=f"control.{spec.name}",
@@ -507,14 +485,16 @@ class TestbedBuilder:
             )
         return controllers
 
-    def _build_fleet(self, scenario: Scenario):
-        """N physical servers, VMs assigned by the placement policy.
+    def _build_virtualized(self, scenario: Scenario):
+        """One or more physical servers, VMs assigned by the policy.
 
         The web pair is one affinity group (the tiers talk over the
         software bridge) and is pinned (not movable); tenant VMs are
         movable batch requests.  Placement happens *before* any domain
         is created, so the engine's assignment decides which hypervisor
-        each VM materializes on.
+        each VM materializes on.  A lone server's guests may
+        oversubscribe its cores without bound; see
+        :data:`~repro.placement.spec.DEFAULT_VCPU_OVERCOMMIT`.
         """
         calibrated = calibrated_environment(VIRTUALIZED)
         engine = PlacementEngine(
@@ -523,6 +503,9 @@ class TestbedBuilder:
             policy=scenario.placement,
             overhead=calibrated.overhead,
             vcpu_contention=scenario.controlled,
+            vcpu_overcommit=(
+                DEFAULT_VCPU_OVERCOMMIT if scenario.multi_server else math.inf
+            ),
         )
         requests = [
             VmRequest(
@@ -556,27 +539,6 @@ class TestbedBuilder:
             cluster=engine.cluster,
         )
         return deployment, hypervisor, engine
-
-    def _build_shared_server(self, scenario: Scenario):
-        """One physical server whose hypervisor hosts every tenant."""
-        calibrated = calibrated_environment(VIRTUALIZED)
-        cluster = Cluster()
-        server = cluster.add_server("cloud-1")
-        hypervisor = Hypervisor(
-            self.sim,
-            server,
-            calibrated.overhead,
-            vcpu_contention=scenario.controlled,
-        )
-        deployment = VirtualizedDeployment(
-            self.sim,
-            self.streams,
-            config=calibrated.deployment_config,
-            overhead=calibrated.overhead,
-            hypervisor=hypervisor,
-            cluster=cluster,
-        )
-        return deployment, hypervisor
 
 
 def build_testbed(

@@ -110,7 +110,9 @@ class FaultSpec:
     duration_s: float = 0.0
     #: Target server (crash/degrade/dom0) or domain (cap theft).
     #: Empty resolves at build time to the server hosting the web VM
-    #: (server kinds) or to ``web-vm`` itself (cap theft).
+    #: (server kinds) or to ``web-vm`` itself (cap theft).  A scenario
+    #: rejects any name that is not one of its VMs or, for the server
+    #: kinds, one of its servers.
     target: str = ""
     #: Kind-specific severity; 0 picks the kind's default.
     magnitude: float = 0.0

@@ -1,7 +1,7 @@
 """The placement engine: a fleet of hypervisors plus VM assignment.
 
-The :class:`PlacementEngine` is the construction-time heart of the
-multi-server testbed: it builds one
+The :class:`PlacementEngine` is the construction-time heart of every
+virtualized testbed, one server or many: it builds one
 :class:`~repro.virt.hypervisor.Hypervisor` (with its own dom0, credit
 scheduler and split-driver backends) per
 :class:`~repro.hardware.server.PhysicalServer` in a shared
@@ -25,6 +25,7 @@ from repro.placement.policies import ServerLoad, plan_placement
 from repro.placement.spec import (
     DEFAULT_VCPU_OVERCOMMIT,
     VmRequest,
+    server_names,
     validate_placement_policy,
 )
 from repro.sim.engine import Simulator
@@ -45,7 +46,6 @@ class PlacementEngine:
         fabric: Optional[NetworkFabric] = None,
         vcpu_contention: bool = False,
         vcpu_overcommit: float = DEFAULT_VCPU_OVERCOMMIT,
-        name_prefix: str = "cloud",
     ) -> None:
         if server_count < 1:
             raise ConfigurationError("server_count must be >= 1")
@@ -58,10 +58,8 @@ class PlacementEngine:
         self.hypervisors: Dict[str, Hypervisor] = {}
         # Servers are created (and therefore iterate) in index order —
         # the deterministic order first-fit packs against.
-        for index in range(1, server_count + 1):
-            server = self.cluster.add_server(
-                f"{name_prefix}-{index}", server_spec
-            )
+        for name in server_names(server_count):
+            server = self.cluster.add_server(name, server_spec)
             self.hypervisors[server.name] = Hypervisor(
                 sim,
                 server,

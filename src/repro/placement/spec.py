@@ -12,7 +12,7 @@ scenario's cache fingerprint and serialize through
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.plaindata import from_plain_dict
@@ -24,10 +24,19 @@ BALANCE = "balance"
 PRIORITY = "priority"
 PLACEMENT_POLICIES = (FIRST_FIT, BEST_FIT, BALANCE, PRIORITY)
 
-#: VCPU overcommit factor: a server's schedulable VCPUs may exceed its
-#: physical cores by this ratio (the credit scheduler time-shares), but
-#: memory is never overcommitted (the MemoryBank enforces capacity).
+#: VCPU overcommit factor of a fleet: a server's schedulable VCPUs may
+#: exceed its physical cores by this ratio (the credit scheduler
+#: time-shares).  A one-server scenario's guests may oversubscribe its
+#: cores without bound instead (``math.inf``): there is no other host
+#: to spread them to, and oversubscription is what the consolidation
+#: runs measure.  Memory reservations are hard on every host, so a VM
+#: whose reservation does not fit is refused with ``PlacementError``.
 DEFAULT_VCPU_OVERCOMMIT = 2.0
+
+
+def server_names(count: int) -> Tuple[str, ...]:
+    """The server names of a ``count``-server scenario, in index order."""
+    return tuple(f"cloud-{index}" for index in range(1, count + 1))
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ class Pod:
             "vms": [],
         }
         engine = self.engine
-        if engine is None:
+        if engine is None:  # bare metal: nothing placed to report
             return signal
         fleet_controller = self.fleet_controller
         failed = (

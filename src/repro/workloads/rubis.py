@@ -21,7 +21,7 @@ from repro.rubis.transitions import bidding_matrix, browsing_matrix
 from repro.rubis.workload import SessionType
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
-from repro.traffic.driver import ArrivalMeter, OpenLoopDriver
+from repro.traffic.driver import ArrivalMeter
 from repro.traffic.spec import build_driver as build_traffic_driver
 from repro.traffic.spec import build_process as build_traffic_process
 from repro.workloads.base import Workload
@@ -162,9 +162,7 @@ class RubisWorkload(Workload):
 
     @property
     def open_loop(self) -> bool:
-        return isinstance(
-            self.population, (OpenLoopDriver, BatchedOpenDriver)
-        )
+        return self.scenario.open_loop
 
     def summary(self) -> dict:
         stats = self.population.stats

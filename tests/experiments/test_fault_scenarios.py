@@ -13,6 +13,7 @@ from repro.experiments.scenarios import (
 )
 from repro.faults.scoring import score_run
 from repro.faults.spec import FaultSchedule, FaultSpec
+from repro.workloads import TenantSpec
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,47 @@ class TestScenarioWiring:
                     (FaultSpec(kind="flash_crowd", at_s=10.0),)
                 ),
             )
+
+    @pytest.mark.parametrize(
+        "servers, token",
+        [
+            (1, "crash@20/cloud-2"),
+            (2, "crash@20/cloud-3"),
+            (1, "cap_theft@10/ghost-vm"),
+        ],
+    )
+    def test_unknown_fault_target_rejected(self, servers, token):
+        from dataclasses import replace
+
+        base = scenario("virtualized", "browsing", duration_s=30.0)
+        with pytest.raises(ConfigurationError, match="choose from") as info:
+            replace(
+                base,
+                servers=servers,
+                faults=FaultSchedule.from_cli_string(token),
+            )
+        target = token.split("/")[1]
+        assert f"unknown {target!r}" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "servers, token, tenants",
+        [
+            (2, "crash@20/cloud-2", ()),
+            (1, "degrade_nic@20/db-vm", ()),
+            (1, "cap_theft@10/batch-vm", (TenantSpec(),)),
+        ],
+    )
+    def test_known_fault_target_accepted(self, servers, token, tenants):
+        from dataclasses import replace
+
+        base = scenario("virtualized", "browsing", duration_s=30.0)
+        spec = replace(
+            base,
+            servers=servers,
+            tenants=tenants,
+            faults=FaultSchedule.from_cli_string(token),
+        )
+        assert spec.faults.as_cli_string() == token
 
     def test_faults_change_the_cache_key(self):
         base = consolidated_scenario("browsing", duration_s=30.0)

@@ -1,5 +1,7 @@
 """Tests for the testbed builder (single- and multi-tenant assembly)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from repro.experiments.scenarios import (
 )
 from repro.experiments.testbed import build_testbed
 from repro.monitoring.export import trace_set_sha256
+from repro.placement.policies import PlacementError
+from repro.placement.spec import PLACEMENT_POLICIES
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.workloads import TenantSpec
@@ -81,7 +85,10 @@ class TestMultiTenant:
                 tenants=(TenantSpec(), TenantSpec()),
             )
 
-    def test_two_tenants_two_domains(self):
+    @pytest.mark.parametrize("policy", PLACEMENT_POLICIES)
+    def test_two_tenants_two_domains(self, policy):
+        # 20 VCPUs on 8 cores: a lone server may oversubscribe without
+        # bound, under every placement policy.
         spec = consolidated_scenario(
             "browsing",
             duration_s=30.0,
@@ -90,11 +97,26 @@ class TestMultiTenant:
                 TenantSpec(name="grepper", job="grep"),
             ),
         )
-        _, testbed = _build(spec)
+        _, testbed = _build(replace(spec, placement=policy))
+        assert testbed.engine.placement_report() == {
+            "cloud-1": ["web-vm", "db-vm", "sorter-vm", "grepper-vm"],
+        }
         names = {d.name for d in testbed.hypervisor.domains()}
         assert {"sorter-vm", "grepper-vm"} <= names
         entities = [p.entity for p in testbed.probes()]
         assert entities[-2:] == ["sorter", "grepper"]
+
+    def test_memory_stays_hard_on_one_server(self):
+        # Seven 4 GiB tenants + the 4 GiB web pair + dom0's 4 GiB do
+        # not fit a 32 GiB host: the seventh tenant is refused.
+        spec = consolidated_scenario(
+            "browsing",
+            duration_s=20.0,
+            clients=50,
+            tenants=tuple(TenantSpec(name=f"t{i}") for i in range(7)),
+        )
+        with pytest.raises(PlacementError, match="'t6-vm'"):
+            _build(spec)
 
     def test_consolidated_result_has_tenant_series(self):
         result = run_scenario(
@@ -104,7 +126,8 @@ class TestMultiTenant:
         series = result.traces.get("batch", "cpu_cycles")
         assert series.values.sum() > 0
         assert result.tenant_reports is not None
-        assert result.interference is not None
+        assert set(result.interference) == {"cpu_ready_s"}
+        assert result.control_reports is None
         assert np.isfinite(result.p95_response_time_s)
 
 

@@ -6,7 +6,11 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.config import ExperimentConfig
 from repro.shard import datacenter_fleet, run_fleet
+from repro.shard.pod import Pod
+from repro.shard.spec import FleetScenario, PodSpec
+from repro.workloads import TenantSpec
 
 #: The ``src`` directory this suite imports ``repro`` from.
 SRC = str(Path(repro.__file__).resolve().parent.parent)
@@ -21,6 +25,23 @@ class TestFleetPhases:
         assert set(result.phases_s) == {"build", "simulate", "collect"}
         assert all(v >= 0 for v in result.phases_s.values())
         assert sum(result.phases_s.values()) <= result.wall_clock_s
+
+
+class TestOneServerPod:
+    def test_signals_offer_its_batch_vms_and_room(self):
+        # A one-server pod is placed like any other, so the optimizer
+        # sees its batch VMs (to throttle) and its free memory.
+        config = ExperimentConfig(
+            environment="virtualized", composition="browsing", seed=42,
+            clients=20, servers=1,
+            tenants=(TenantSpec(name="mr", memory_gb=2.0),),
+        )
+        fleet = FleetScenario(
+            name="solo", pods=(PodSpec("solo", config),), duration_s=10.0,
+        )
+        signal = Pod(fleet.pods[0], fleet).signals()
+        assert [vm["name"] for vm in signal["vms"]] == ["mr-vm"]
+        assert list(signal["free_memory"]) == ["cloud-1"]
 
 
 class TestImportCost:

@@ -450,7 +450,10 @@ _DOCUMENTED_IN = (
     "README.md", ".*/skills/verify/SKILL.md", ".github/workflows/ci.yml",
 )
 #: Documented commands that show a user error on purpose.
-_DOCUMENTED_ERRORS = ("run --scenario nope",)
+_DOCUMENTED_ERRORS = (
+    "run --scenario nope",
+    "run --faults crash@20/cloud-2 --duration 20",
+)
 
 
 def _documented_commands() -> list:
@@ -648,3 +651,13 @@ class TestModuleEntryPoint:
         )
         assert line.startswith("repro: error: a bot_flood fault")
         assert "batched" in line
+
+    def test_unknown_fault_target_rejected_before_the_run(self):
+        # One server has no cloud-2; the lone stderr line is the error,
+        # so no "running" banner was printed.
+        line = _user_error(
+            "run", "--faults", "crash@20/cloud-2", "--duration", "20",
+        )
+        assert line.startswith(
+            "repro: error: fault crash@20/cloud-2 targets unknown 'cloud-2'"
+        )
