@@ -6,7 +6,10 @@ open-loop poisson cell) under both engines, and the batched path cells
 (faults, a budgeted traced flash crowd, a migrating crash drill) under
 the batched engine, and writes their fingerprints to
 ``tests/baselines/engine_fingerprints.json``, which
-``tests/integration/test_engine_equivalence.py`` enforces.
+``tests/integration/test_engine_equivalence.py`` enforces.  Its
+``registry`` section pins the full 518-metric registry of three more
+runs (virtualized browsing on batched, bare-metal bidding on classic,
+an autoscaled flash crowd on classic) by their columnar matrices.
 
 Run this ONLY when a deliberate RNG-epoch change lands (a new engine, a
 re-ordering of random draws, a change to the drain schedule).  A routine
@@ -40,6 +43,7 @@ from repro.experiments.baseline import (  # noqa: E402
     FINGERPRINT_PATH,
     fingerprint_engine,
     fingerprint_paths,
+    fingerprint_registry,
 )
 from repro.experiments.scenarios import ENGINES  # noqa: E402
 
@@ -52,6 +56,7 @@ def compute_document() -> dict:
         "open_rate_rps": BASELINE_OPEN_RATE_RPS,
         "engines": {engine: fingerprint_engine(engine) for engine in ENGINES},
         "batched_paths": fingerprint_paths(),
+        "registry": fingerprint_registry(),
     }
 
 
@@ -59,6 +64,7 @@ def _cells(document: dict) -> dict:
     """Every fingerprint of a document, keyed ``"<group> <cell>"``."""
     groups = dict(document.get("engines", {}))
     groups["batched_paths"] = document.get("batched_paths", {})
+    groups["registry"] = document.get("registry", {})
     return {
         f"{group} {cell}": fingerprint
         for group, cells in groups.items()

@@ -23,6 +23,11 @@ The paper cells exercise no fault, budget, request trace or migration.
 :func:`path_cells` adds three batched cells that do, pinned for
 self-determinism only: the engines still disagree under contention, so
 they carry no cross-engine bound.
+
+:func:`result_fingerprint` hashes the core series only, so no pin
+above sees a value of the 518-metric registry.  :func:`registry_cells`
+are three runs made with the full columnar registry, and
+:func:`registry_fingerprint` hashes their column names and matrix.
 """
 
 from __future__ import annotations
@@ -135,6 +140,62 @@ def path_cells() -> Dict[str, Scenario]:
         "detect_and_evacuate": drill,
     }
     return {cell: with_engine(spec, "batched") for cell, spec in cells.items()}
+
+
+def registry_cells() -> Dict[str, Scenario]:
+    """Cells that pin every value of the full 518-metric registry.
+
+    * virtualized browsing on the batched engine (web, db and dom0
+      probes, so all three collectors);
+    * bare-metal bidding on the classic engine;
+    * the autoscaled flash crowd on the classic engine, whose
+      controller hotplugs VCPUs and balloons memory inside the horizon,
+      so a probe's memory total and cycle capacity change between
+      ticks.
+
+    Each runs with ``collect_full_registry=True`` and
+    ``columnar_rows=True`` (see :func:`run_registry_cell`).
+    """
+    browsing = scenario(
+        "virtualized", "browsing", duration_s=BASELINE_DURATION_S,
+        seed=BASELINE_SEED,
+    )
+    bidding = scenario(
+        "bare-metal", "bidding", duration_s=BASELINE_DURATION_S,
+        seed=BASELINE_SEED,
+    )
+    flash = autoscaled_flash_crowd_scenario(
+        duration_s=BASELINE_DURATION_S, seed=BASELINE_SEED
+    )
+    return {
+        "virtualized/browsing%batched": with_engine(browsing, "batched"),
+        "bare-metal/bidding": bidding,
+        "autoscaled_flash_crowd": flash,
+    }
+
+
+def run_registry_cell(spec: Scenario):
+    """Run one :func:`registry_cells` cell with the columnar registry."""
+    from repro.experiments.runner import run_scenario
+
+    return run_scenario(spec, collect_full_registry=True, columnar_rows=True)
+
+
+def registry_fingerprint(result) -> str:
+    """SHA-256 over a run's registry column names and matrix bytes."""
+    table = result.columnar
+    digest = hashlib.sha256()
+    digest.update("\n".join(table.columns).encode())
+    digest.update(np.ascontiguousarray(table.matrix(), dtype=float).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def fingerprint_registry() -> Dict[str, str]:
+    """Run every :func:`registry_cells` cell and fingerprint its registry."""
+    return {
+        cell: registry_fingerprint(run_registry_cell(spec))
+        for cell, spec in registry_cells().items()
+    }
 
 
 def result_fingerprint(result) -> str:

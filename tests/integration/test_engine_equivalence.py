@@ -11,6 +11,9 @@ the trade safe:
   treatment, fresh process each time), on the paper cells and on the
   path cells that exercise faults, budgeted admission, request tracing
   and live migration,
+* the full 518-metric registry of three runs (one per collector set,
+  one resized by a controller mid-run) is pinned by its columnar
+  matrix,
 * at matched seeds the two engines are **equivalent in distribution**:
   two-sample KS on response times, relative-error bounds on
   throughput / utilization / CPU-ready aggregates, and per-figure
@@ -30,8 +33,11 @@ from repro.experiments.baseline import (
     load_fingerprints,
     matrix_cells,
     path_cells,
+    registry_cells,
+    registry_fingerprint,
     relative_error,
     result_fingerprint,
+    run_registry_cell,
     series_mean_ratio,
 )
 from repro.experiments.runner import run_scenario
@@ -42,6 +48,7 @@ CLOSED_CELLS = [f"{env}/{comp}" for env, comp in matrix_cells()]
 OPEN_CELL = "virtualized/browsing/poisson"
 ALL_CELLS = CLOSED_CELLS + [OPEN_CELL]
 PATH_CELLS = list(path_cells())
+REGISTRY_CELLS = list(registry_cells())
 
 #: Figure resources compared per entity (the four per-panel series the
 #: paper's figures plot).
@@ -100,6 +107,21 @@ class TestPinnedFingerprints:
             f"batched path fingerprint drifted for {cell} — either a "
             "determinism bug, or a deliberate epoch change that needs "
             "scripts/rebaseline.py plus a PERFORMANCE.md note"
+        )
+
+    @pytest.mark.parametrize("cell", REGISTRY_CELLS)
+    def test_registry_pins(self, pinned, cell):
+        result = run_registry_cell(registry_cells()[cell])
+        if cell == "autoscaled_flash_crowd":
+            # The cell exists to move the probes' memory total and
+            # cycle capacity between ticks.
+            actions = result.control_reports["control"]["actions_by_kind"]
+            assert result.control_reports["control"]["num_actions"] > 0
+            assert actions.get("set_vcpus", 0) > 0
+            assert actions.get("balloon", 0) > 0
+        assert registry_fingerprint(result) == pinned["registry"][cell], (
+            f"registry fingerprint drifted for {cell} — a registry "
+            "value moved; fix the regression (do NOT rebaseline)"
         )
 
 
