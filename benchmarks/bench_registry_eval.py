@@ -1,8 +1,9 @@
 """P2 — bulk metric evaluation and telemetry container throughput.
 
 Isolates the monitoring layer from the DES: how many of the paper's
-518 metrics can be derived per second from one interval's counter
-deltas (the compiled registry path), and how fast the storage
+518 metrics can be derived per second, one interval at a time through
+``evaluate_all`` (the scalar path) and as the trace recorder does it,
+column-wise once per block of ticks; and how fast the storage
 primitives are — ``TimeSeries`` appends / view reads and
 ``ColumnarRows`` row appends.  Rates land in ``extra_info`` for the
 BENCH trajectory.
@@ -17,12 +18,18 @@ import numpy as np
 
 from repro.monitoring.columnar import ColumnarRows
 from repro.monitoring.metric import MetricSource, SampleInputs
+from repro.monitoring.probes import Probe, RawCounters
 from repro.monitoring.registry import build_registry
+from repro.monitoring.sampler import FLUSH_TICKS, TraceRecorder
 from repro.monitoring.timeseries import TimeSeries
+from repro.sim.engine import Simulator
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "").strip() in ("1", "true", "yes")
 
 EVAL_ROUNDS = 20 if QUICK else 400
+#: Recorder ticks of the column-path row: whole blocks plus a remainder
+#: that ``stop()`` flushes.
+TICKS = 2 * FLUSH_TICKS + 32 if QUICK else 15 * FLUSH_TICKS + 40
 APPENDS = 5_000 if QUICK else 100_000
 VIEW_READS = 2_000 if QUICK else 50_000
 
@@ -62,8 +69,77 @@ def test_registry_bulk_evaluation(benchmark):
     n_metrics, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["metrics_evaluated"] = n_metrics
     benchmark.extra_info["metrics_per_s"] = round(n_metrics / elapsed)
+    # A virtualized tick logs 1,008 metrics (web, db and dom0): the
+    # comparison for test_registry_column_flush's ms_per_tick.
+    benchmark.extra_info["ms_per_1008_metrics"] = round(
+        1008 * elapsed / n_metrics * 1e3, 4
+    )
     print(f"\nregistry eval: {n_metrics / elapsed:,.0f} metrics/s")
     assert n_metrics == EVAL_ROUNDS * (182 + 154)
+
+
+class _SteadyProbe(Probe):
+    """Counters that advance by one busy interval's worth per snapshot."""
+
+    def __init__(self, entity: str, virtualized: bool) -> None:
+        self.entity = entity
+        self.virtualized = virtualized
+        self.mem_total_bytes = 2048e6
+        self.capacity_cycles_per_s = 2.8e9 * 2
+        self._snapshots = 0
+
+    def snapshot(self) -> RawCounters:
+        self._snapshots += 1
+        n = self._snapshots
+        return RawCounters(
+            2.1e9 * n, 900e6, 1.2e6 * n, 2.5e6 * n, 3.1e6 * n, 9.8e6 * n,
+            280.0 * n,
+        )
+
+
+def test_registry_column_flush(benchmark):
+    """The recorder's full-registry cost per tick on the column path.
+
+    Two VM probes and a dom0 probe (1,008 metric columns) sampled for
+    ``TICKS`` ticks into a columnar table: the ticks store counter
+    deltas, and the registry is evaluated once per block of
+    ``FLUSH_TICKS`` ticks inside the tick, with the remainder in
+    ``stop()``.  ``ms_per_tick`` covers ticks plus flushes.
+    """
+    registry = build_registry()
+
+    def run():
+        sim = Simulator()
+        recorder = TraceRecorder(
+            sim,
+            [
+                _SteadyProbe("web", True),
+                _SteadyProbe("db", True),
+                _SteadyProbe("dom0", False),
+            ],
+            "virtualized",
+            "browsing",
+            registry=registry,
+            collect_full_registry=True,
+            rng=np.random.default_rng(123),
+            columnar_rows=True,
+        )
+        start = time.perf_counter()
+        sim.run_until(2.0 * TICKS)
+        recorder.stop()
+        return recorder.columnar, time.perf_counter() - start
+
+    table, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
+    values = len(table) * (len(table.columns) - 1)
+    benchmark.extra_info["ticks"] = len(table)
+    benchmark.extra_info["ms_per_tick"] = round(elapsed / len(table) * 1e3, 4)
+    benchmark.extra_info["metrics_per_s"] = round(values / elapsed)
+    print(
+        f"\nregistry column path: {elapsed / len(table) * 1e3:.3f} ms per "
+        f"tick over {len(table)} ticks ({values / elapsed:,.0f} metrics/s)"
+    )
+    assert len(table) == TICKS
+    assert len(table.columns) == 1 + 1008
 
 
 def test_timeseries_append_and_views(benchmark):

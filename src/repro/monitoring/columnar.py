@@ -80,6 +80,16 @@ class ColumnarRows:
     def __len__(self) -> int:
         return self._n
 
+    def _reserve(self, rows: int) -> None:
+        """Grow the buffer (at least doubling) to fit ``rows`` more."""
+        need = self._n + rows
+        if need > len(self._buffer):
+            grown = np.empty(
+                (max(need, 2 * len(self._buffer)), len(self._names))
+            )
+            grown[: self._n] = self._buffer[: self._n]
+            self._buffer = grown
+
     def append_row(self, row: Sequence[float]) -> None:
         """Append one sample given in column order."""
         if len(row) != len(self._names):
@@ -87,12 +97,21 @@ class ColumnarRows:
                 f"row has {len(row)} values, table has {len(self._names)} "
                 "columns"
             )
-        if self._n == len(self._buffer):
-            grown = np.empty((2 * len(self._buffer), len(self._names)))
-            grown[: self._n] = self._buffer[: self._n]
-            self._buffer = grown
+        self._reserve(1)
         self._buffer[self._n] = row
         self._n += 1
+
+    def append_rows(self, rows: np.ndarray) -> None:
+        """Append a (samples x columns) block in column order, one copy."""
+        if np.ndim(rows) != 2 or np.shape(rows)[1] != len(self._names):
+            raise MonitoringError(
+                f"block shape {np.shape(rows)} does not match "
+                f"{len(self._names)} columns"
+            )
+        count = len(rows)
+        self._reserve(count)
+        self._buffer[self._n: self._n + count] = rows
+        self._n += count
 
     def column(self, name: str) -> np.ndarray:
         """Read-only O(1) view of one metric across all samples."""

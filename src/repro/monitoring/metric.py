@@ -6,6 +6,21 @@ function mapping one sampling interval's raw counter deltas to the
 metric's value.  Derivations receive a :class:`SampleInputs` with the
 interval deltas, machine constants and a noise stream, mirroring how
 sysstat computes rates from successive ``/proc`` snapshots.
+
+A :class:`SampleInputs` holds either one interval (float fields, noise
+drawn from ``rng`` one scalar at a time) or a block of intervals (one
+array per field, one element per tick, noise handed out by a
+:class:`ColumnFeed`).  Derivations are written once for both: they use
+only arithmetic and the element-wise :func:`elem_min` /
+:func:`elem_max`, which keep the builtins' tie rules, so a block
+evaluation returns exactly the values the per-interval calls would.
+
+A probe's noise draws form a fixed sequence (which draws a derivation
+makes depends only on ``virtualized``).  :class:`ScheduleRecorder`
+notes that sequence once without drawing, :class:`DrawSchedule` groups
+it into a few draw calls and draws a block's noise from the stream in
+per-interval order, and :class:`ColumnFeed` hands the block's columns
+back to the derivations in the order they ask for them.
 """
 
 from __future__ import annotations
@@ -13,8 +28,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from math import isfinite
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,9 +53,38 @@ class MetricKind(enum.Enum):
     GAUGE = "gauge"
 
 
+def elem_min(a, b):
+    """``min(a, b)`` element-wise, with the builtin's tie rule.
+
+    ``b`` is taken only where ``b < a``, so ties and NaNs keep ``a``,
+    exactly as the builtin does (``np.minimum`` propagates NaN and
+    picks signed zeros differently).
+    """
+    below = b < a
+    if below.__class__ is bool:
+        return b if below else a
+    return np.where(below, b, a)
+
+
+def elem_max(a, b):
+    """``max(a, b)`` element-wise, with the builtin's tie rule.
+
+    ``b`` is taken only where ``b > a``: ``elem_max(0.0, -0.0)`` is
+    0.0 like ``max``, where ``np.maximum`` returns -0.0.
+    """
+    above = b > a
+    if above.__class__ is bool:
+        return b if above else a
+    return np.where(above, b, a)
+
+
 @dataclass
 class SampleInputs:
-    """Everything a derivation may consume for one sampling interval."""
+    """Everything a derivation may consume for one or more intervals.
+
+    The counter fields are floats for one interval, or equal-length
+    arrays (one element per tick) for a block of intervals.
+    """
 
     #: Interval length in seconds (the paper's 2 s).
     interval_s: float
@@ -58,25 +104,29 @@ class SampleInputs:
     requests: float
     #: Cycles the entity could have executed (capacity).
     capacity_cycles: float
-    #: Noise stream for measurement jitter.
-    rng: np.random.Generator
+    #: Noise stream for measurement jitter (unused when ``feed`` is set).
+    rng: Optional[np.random.Generator]
     #: True when the entity runs virtualized (IPC degradation etc.).
     virtualized: bool = False
-    #: Optional pre-drawn noise feed (:class:`DrawRecorder` or
-    #: :class:`ReplayFeed`); when set, :meth:`jitter` and
-    #: :meth:`poisson` take their draws from it instead of ``rng``.
+    #: Optional noise feed (:class:`ScheduleRecorder` or
+    #: :class:`ColumnFeed`); when set, :meth:`jitter` and
+    #: :meth:`poisson` take their values from it instead of ``rng``.
     feed: object = None
 
     # Derived quantities are cached: one SampleInputs describes one
-    # immutable interval snapshot, and hundreds of metric derivations
-    # read these per sample.
+    # immutable snapshot, and hundreds of metric derivations read these.
 
     @cached_property
     def cpu_utilization(self) -> float:
         """Busy fraction in [0, 1]."""
-        if self.capacity_cycles <= 0:
+        capacity = self.capacity_cycles
+        if capacity.__class__ is np.ndarray:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                busy = elem_min(1.0, self.cpu_cycles / capacity)
+            return np.where(capacity <= 0, 0.0, busy)
+        if capacity <= 0:
             return 0.0
-        return min(1.0, self.cpu_cycles / self.capacity_cycles)
+        return min(1.0, self.cpu_cycles / capacity)
 
     @cached_property
     def disk_bytes(self) -> float:
@@ -104,91 +154,113 @@ class SampleInputs:
         return float(self.rng.poisson(lam))
 
 
-class DrawRecorder:
-    """Pass-through noise feed that records the draw schedule.
+class ScheduleRecorder:
+    """Noise feed that records the draw schedule and draws nothing.
 
-    Used for the first sample of a probe: draws scalars from ``rng``
-    (bit-identical to the unfed path) while noting each draw's
-    distribution and parameter.  The recorded schedule compiles into a
-    :class:`DrawSchedule` that batches every later tick's draws.
+    Notes each draw's distribution and parameter, and answers with a
+    neutral value (1 for a jitter, 0 for a count); the values computed
+    from it are thrown away.
     """
 
-    __slots__ = ("rng", "schedule")
+    __slots__ = ("schedule",)
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
+    def __init__(self) -> None:
         self.schedule: list = []
 
     def normal(self, scale: float) -> float:
         self.schedule.append(("normal", scale))
-        draw = self.rng.normal(1.0, scale)
-        return float(draw) if draw > 0.0 else 0.0
+        return 1.0
 
     def poisson(self, lam: float) -> float:
         self.schedule.append(("poisson", lam))
-        return float(self.rng.poisson(lam))
+        return 0.0
 
 
-class ReplayFeed:
-    """Hands out one tick's pre-drawn noise values in schedule order."""
-
-    __slots__ = ("values", "pos")
-
-    def __init__(self, values: list) -> None:
-        self.values = values
-        self.pos = 0
-
-    def _next(self) -> float:
-        pos = self.pos
-        self.pos = pos + 1
-        return self.values[pos]
-
-    def normal(self, scale: float) -> float:
-        return self._next()
-
-    def poisson(self, lam: float) -> float:
-        return self._next()
+#: Same-distribution groups of at most this many draws are drawn one
+#: scalar call per draw: an array call's fixed cost (mostly argument
+#: checks, about 8 us) buys about a dozen scalar draws.
+_SCALAR_RUN = 12
 
 
 class DrawSchedule:
-    """A probe's fixed per-tick draw schedule, segment-batched.
+    """A probe's fixed per-interval draw schedule, as a few draw calls.
 
-    The registry's noise draws per tick form a fixed sequence per
-    probe (the only draw-count conditionals key on ``virtualized``,
-    which never changes for a probe).  Consecutive same-distribution
-    draws are grouped so one tick costs a handful of array fills
-    instead of ~850 scalar Generator calls.  Array fills consume the
-    underlying bit stream element-wise exactly like sequential scalar
-    draws, so replayed ticks are bit-identical to unbatched ones.
+    Consecutive same-distribution draws are grouped into one array call
+    (``rng.normal(1.0, scales)`` or ``rng.poisson(lams)``), and runs of
+    short groups into one list of scalar calls, so one interval's ~400
+    draws cost a handful of calls.  Array fills consume the underlying
+    bit stream element-wise exactly like sequential scalar draws, so a
+    block drawn interval by interval through the segments holds the
+    values the scalar ``jitter``/``poisson`` calls would have drawn,
+    and leaves the generator at the same position.
     """
 
-    __slots__ = ("segments", "size")
+    __slots__ = ("segments", "size", "normal")
 
     def __init__(self, schedule: list) -> None:
-        groups: list = []
-        for dist, param in schedule:
-            if groups and groups[-1][0] == dist:
-                groups[-1][1].append(param)
+        #: ``(start, stop, dist, params)``: ``dist`` "normal" or
+        #: "poisson" with a parameter array for one array call, or
+        #: "scalar" with a ``(dist, param)`` list drawn call by call.
+        self.segments: list = []
+        start = 0
+        for dist, group in groupby(schedule, key=itemgetter(0)):
+            draws = list(group)
+            stop = start + len(draws)
+            if len(draws) > _SCALAR_RUN:
+                params = np.array([param for _, param in draws], dtype=float)
+                self.segments.append((start, stop, dist, params))
+            elif self.segments and self.segments[-1][2] == "scalar":
+                run_start, _, _, run = self.segments.pop()
+                self.segments.append((run_start, stop, "scalar", run + draws))
             else:
-                groups.append((dist, [param]))
-        self.segments = [
-            (dist, np.asarray(params, dtype=np.float64))
-            for dist, params in groups
-        ]
+                self.segments.append((start, stop, "scalar", draws))
+            start = stop
         self.size = len(schedule)
+        #: Which columns hold jitter draws (the rest are counts).
+        self.normal = np.array(
+            [dist == "normal" for dist, _ in schedule], dtype=bool
+        )
 
-    def draw(self, rng: np.random.Generator) -> ReplayFeed:
-        """Batch-draw one tick's noise values from ``rng``."""
-        parts = []
-        for dist, params in self.segments:
+    def fill_row(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        """Draw one interval's noise into ``row``, segment by segment."""
+        normal, poisson = rng.normal, rng.poisson
+        for start, stop, dist, params in self.segments:
             if dist == "normal":
-                draws = rng.normal(1.0, params)
-                # Same clamp jitter() applies per scalar draw.
-                parts.append(np.where(draws > 0.0, draws, 0.0))
+                row[start:stop] = normal(1.0, params)
+            elif dist == "poisson":
+                row[start:stop] = poisson(params)
             else:
-                parts.append(rng.poisson(params).astype(np.float64))
-        values = np.concatenate(parts).tolist() if parts else []
-        return ReplayFeed(values)
+                row[start:stop] = [
+                    normal(1.0, param) if kind == "normal" else poisson(param)
+                    for kind, param in params
+                ]
+
+    def clamp(self, block: np.ndarray) -> np.ndarray:
+        """Zero the non-positive jitter draws, as ``jitter`` does."""
+        np.copyto(block, 0.0, where=self.normal & ~(block > 0.0))
+        return block
+
+
+class ColumnFeed:
+    """Hands out a block's noise, one (ticks,) column per draw, in order."""
+
+    __slots__ = ("columns", "pos")
+
+    def __init__(self, block: np.ndarray) -> None:
+        #: (draws x ticks): row ``k`` is draw ``k`` across the block.
+        self.columns = block.T
+        self.pos = 0
+
+    def _next(self) -> np.ndarray:
+        pos = self.pos
+        self.pos = pos + 1
+        return self.columns[pos]
+
+    def normal(self, scale: float) -> np.ndarray:
+        return self._next()
+
+    def poisson(self, lam: float) -> np.ndarray:
+        return self._next()
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,12 @@ behavioural model — rates from byte counts, microarchitectural events
 from cycle counts and an IPC model that degrades under virtualization
 (cache/TLB pollution, shadow paging), idle floors from housekeeping.
 The counts are enforced by assertions and unit tests.
+
+Derivations take one interval or a block of intervals (array fields)
+alike, so none branches on a counter value: clamps and caps go through
+:func:`~repro.monitoring.metric.elem_min` and
+:func:`~repro.monitoring.metric.elem_max`.  The only branches key on
+``virtualized``, which is fixed per probe.
 """
 
 from __future__ import annotations
@@ -28,7 +34,14 @@ from math import isfinite
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MonitoringError, UnknownMetricError
-from repro.monitoring.metric import Metric, MetricKind, MetricSource, SampleInputs
+from repro.monitoring.metric import (
+    Metric,
+    MetricKind,
+    MetricSource,
+    SampleInputs,
+    elem_max,
+    elem_min,
+)
 from repro.units import KB
 
 #: Counts stated in the paper (Section 3).
@@ -47,10 +60,7 @@ def _per_s(amount_fn: Callable[[SampleInputs], float]) -> Callable:
     """Turn an interval amount into a per-second rate with jitter."""
 
     def derive(d: SampleInputs) -> float:
-        rate = amount_fn(d) / d.interval_s
-        if rate < 0.0:
-            rate = 0.0
-        return rate * d.jitter()
+        return elem_max(amount_fn(d) / d.interval_s, 0.0) * d.jitter()
 
     return derive
 
@@ -143,12 +153,13 @@ def _sysstat_rows() -> List[Tuple[str, MetricKind, str, str, Callable]]:
     add("%system", C, "%", "CPU time in kernel space",
         lambda d: d.cpu_utilization * 100.0 * 0.22 * d.jitter())
     add("%iowait", C, "%", "CPU idle while waiting on I/O",
-        lambda d: min(25.0, (d.disk_bytes / d.interval_s) / (4e6) * d.jitter()))
+        lambda d: elem_min(25.0, (d.disk_bytes / d.interval_s) / (4e6)
+                           * d.jitter()))
     add("%steal", C, "%", "involuntary wait on the hypervisor",
         lambda d: (0.4 * d.cpu_utilization * 100.0 * d.jitter()
                    if d.virtualized else 0.0))
     add("%idle", C, "%", "CPU idle time",
-        lambda d: max(0.0, 100.0 - d.cpu_utilization * 100.0 * d.jitter()))
+        lambda d: elem_max(0.0, 100.0 - d.cpu_utilization * 100.0 * d.jitter()))
     # Task creation and switching (sar -w) — 2
     add("proc/s", C, "1/s", "tasks created per second",
         lambda d: 0.8 + 0.02 * d.requests / d.interval_s * d.jitter())
@@ -190,11 +201,11 @@ def _sysstat_rows() -> List[Tuple[str, MetricKind, str, str, Callable]]:
         _per_s(lambda d: d.disk_write_bytes / _SECTOR_BYTES))
     # Memory utilization (sar -r) — 10
     add("kbmemfree", G, "KB", "free memory",
-        lambda d: max(0.0, (d.mem_total_bytes - d.mem_used_bytes) / KB))
+        lambda d: elem_max(0.0, (d.mem_total_bytes - d.mem_used_bytes) / KB))
     add("kbmemused", G, "KB", "used memory",
         lambda d: d.mem_used_bytes / KB)
     add("%memused", G, "%", "used memory percentage",
-        lambda d: 100.0 * d.mem_used_bytes / max(d.mem_total_bytes, 1.0))
+        lambda d: 100.0 * d.mem_used_bytes / elem_max(d.mem_total_bytes, 1.0))
     add("kbbuffers", G, "KB", "kernel buffer memory",
         lambda d: 0.035 * d.mem_used_bytes / KB * d.jitter())
     add("kbcached", G, "KB", "page cache memory",
@@ -202,7 +213,7 @@ def _sysstat_rows() -> List[Tuple[str, MetricKind, str, str, Callable]]:
     add("kbcommit", G, "KB", "committed address space",
         lambda d: 1.25 * d.mem_used_bytes / KB)
     add("%commit", G, "%", "committed over total",
-        lambda d: 125.0 * d.mem_used_bytes / max(d.mem_total_bytes, 1.0))
+        lambda d: 125.0 * d.mem_used_bytes / elem_max(d.mem_total_bytes, 1.0))
     add("kbactive", G, "KB", "active memory",
         lambda d: 0.55 * d.mem_used_bytes / KB * d.jitter())
     add("kbinact", G, "KB", "inactive memory",
@@ -239,7 +250,7 @@ def _sysstat_rows() -> List[Tuple[str, MetricKind, str, str, Callable]]:
     add("ldavg-15", G, "load", "15-minute load average",
         lambda d: d.cpu_utilization * 8.0 * d.jitter(0.03))
     add("blocked", G, "tasks", "tasks blocked on I/O",
-        lambda d: min(8.0, d.disk_bytes / (8e6) * d.jitter(0.3)))
+        lambda d: elem_min(8.0, d.disk_bytes / (8e6) * d.jitter(0.3)))
     # TTY (sar -y) — 6
     for name, desc in (
         ("rcvin/s", "serial receive interrupts"),
@@ -260,13 +271,14 @@ def _sysstat_rows() -> List[Tuple[str, MetricKind, str, str, Callable]]:
     add("avgrq-sz", G, "sectors", "average request size",
         _const(_AVG_IO_BYTES / _SECTOR_BYTES, noise=0.1))
     add("avgqu-sz", G, "requests", "average device queue length",
-        lambda d: min(4.0, d.disk_bytes / (16e6) * d.jitter(0.3)))
+        lambda d: elem_min(4.0, d.disk_bytes / (16e6) * d.jitter(0.3)))
     add("await", G, "ms", "average I/O latency",
-        lambda d: 4.0 + min(20.0, d.disk_bytes / (4e6)) * d.jitter(0.2))
+        lambda d: 4.0 + elem_min(20.0, d.disk_bytes / (4e6)) * d.jitter(0.2))
     add("svctm", G, "ms", "average device service time",
         _const(3.5, noise=0.15))
     add("%util", C, "%", "device bandwidth utilization",
-        lambda d: min(100.0, 100.0 * d.disk_bytes / (d.interval_s * 110e6)))
+        lambda d: elem_min(100.0, 100.0 * d.disk_bytes
+                           / (d.interval_s * 110e6)))
     # Network device (sar -n DEV, eth0) — 7
     add("rxpck/s", C, "pkts/s", "packets received",
         _per_s(lambda d: d.net_rx_bytes / _AVG_PKT_BYTES))
@@ -467,10 +479,7 @@ def _perf_global_rows() -> List[Tuple[str, str, str, Callable]]:
 
     def arch_rate(fn: Callable[[SampleInputs, _Arch], float]) -> Callable:
         def derive(d: SampleInputs) -> float:
-            value = fn(d, _Arch.for_inputs(d))
-            if value < 0.0:
-                value = 0.0
-            return value * d.jitter()
+            return elem_max(fn(d, _Arch.for_inputs(d)), 0.0) * d.jitter()
 
         return derive
 

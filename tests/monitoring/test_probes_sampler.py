@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from repro.errors import MonitoringError
+from repro.monitoring import sampler
 from repro.monitoring.export import trace_set_to_csv, trace_set_to_json
 from repro.monitoring.probes import ContextProbe, Dom0Probe, RawCounters
 from repro.monitoring.registry import build_registry
-from repro.monitoring.sampler import TraceRecorder
+from repro.monitoring.sampler import FLUSH_TICKS, TraceRecorder
 from repro.rubis.deployment import VirtualizedDeployment
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
+from repro.units import GB, KB
 
 
 @pytest.fixture
@@ -142,6 +144,87 @@ class TestTraceRecorder:
         recorder.stop()
         sim.run_until(20.0)
         assert recorder.samples_taken == 2
+
+
+class TestRegistryBlocks:
+    """The registry is evaluated per block of ticks, as if per tick."""
+
+    @pytest.fixture(scope="class")
+    def registry(self):
+        return build_registry()
+
+    @staticmethod
+    def _recorder(registry, columnar=False):
+        sim = Simulator()
+        deployment = VirtualizedDeployment(sim, RandomStreams(3))
+        recorder = TraceRecorder(
+            sim,
+            [
+                ContextProbe("web", deployment.web_context),
+                Dom0Probe(deployment.hypervisor),
+            ],
+            "virtualized",
+            "browsing",
+            registry=registry,
+            collect_full_registry=True,
+            rng=np.random.default_rng(1),
+            columnar_rows=columnar,
+        )
+        return sim, deployment, recorder
+
+    def test_each_tick_sees_its_own_allocation(self, registry):
+        # A controller may balloon memory and hotplug VCPUs between
+        # ticks; the block must be evaluated with each tick's total,
+        # not with the allocation in force when the block is flushed.
+        sim, deployment, recorder = self._recorder(registry, columnar=True)
+        hypervisor, domain = deployment.hypervisor, deployment.web_domain
+        totals = [domain.memory_bytes, 1.5 * GB, 3.0 * GB, 1.0 * GB, 1.0 * GB]
+        for at, memory, vcpus in ((3.0, 1.5 * GB, 2), (5.0, 3.0 * GB, 1),
+                                  (7.0, 1.0 * GB, 4)):
+            sim.schedule_at(at, hypervisor.balloon, domain, memory)
+            sim.schedule_at(at, hypervisor.set_vcpus, domain, vcpus)
+        sim.run_until(10.0)
+        recorder.stop()
+        table = recorder.columnar
+        assert list(table.column("time_s")) == [2.0, 4.0, 6.0, 8.0, 10.0]
+        used = table.column("web|sysstat-vm/kbmemused") * KB
+        memused = table.column("web|sysstat-vm/%memused")
+        memfree = table.column("web|sysstat-vm/kbmemfree")
+        for tick, total in enumerate(totals):
+            assert memused[tick] == 100.0 * used[tick] / max(total, 1.0)
+            assert memfree[tick] == max(0.0, (total - used[tick]) / KB)
+
+    def test_reading_rows_mid_run_changes_nothing(self, registry):
+        sim, _, early = self._recorder(registry)
+        sim.run_until(10.0)
+        first = early.full_rows  # flushes the five pending ticks
+        assert len(first) == 5
+        sim.run_until(20.0)
+        early.stop()
+        sim, _, late = self._recorder(registry)
+        sim.run_until(20.0)
+        late.stop()
+        assert early.full_rows is first
+        assert len(first) == 10
+        assert first == late.full_rows
+
+    def test_blocks_match_one_flush(self, registry, monkeypatch):
+        horizon = 2.0 * (2 * FLUSH_TICKS + 7)
+        sim, _, blocked = self._recorder(registry, columnar=True)
+        sim.run_until(horizon)
+        # two full blocks were flushed inside the tick, seven pend
+        assert len(blocked._pending_times) == 7
+        blocked.stop()
+        monkeypatch.setattr(sampler, "FLUSH_TICKS", 10**6)
+        sim, _, single = self._recorder(registry, columnar=True)
+        sim.run_until(horizon)
+        assert len(single._pending_times) == 2 * FLUSH_TICKS + 7
+        single.stop()
+        assert len(blocked.columnar) == 2 * FLUSH_TICKS + 7
+        assert (
+            blocked.columnar.matrix().tobytes()
+            == single.columnar.matrix().tobytes()
+        )
 
 
 class TestExport:

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import UnknownMetricError
-from repro.monitoring.metric import MetricKind, MetricSource, SampleInputs
+from repro.monitoring.metric import (
+    ColumnFeed,
+    DrawSchedule,
+    MetricSource,
+    SampleInputs,
+    ScheduleRecorder,
+    elem_max,
+    elem_min,
+)
 from repro.monitoring.registry import (
     PERF_METRIC_COUNT,
     SYSSTAT_METRIC_COUNT,
@@ -138,67 +146,97 @@ class TestTable1:
 
 
 class TestDrawBatching:
-    """Record-and-replay noise batching is bit-identical to scalar draws.
+    """The column path is bit-identical to per-tick scalar evaluation.
 
-    The vectorized registry tick records each probe's fixed draw
-    schedule once, then batch-draws every later tick's noise as a few
-    array fills.  numpy Generator array fills consume the bit stream
-    element-wise exactly like sequential scalar calls, so the batched
-    path must reproduce the scalar path value-for-value — the property
-    that lets the optimization ship without a fingerprint rebaseline.
+    The recorder evaluates a block of ticks at once: it notes each
+    probe's fixed draw schedule without drawing, draws the block's
+    noise tick by tick through the schedule's array segments, and calls
+    every derivation once on per-tick arrays, one noise column per
+    draw.  numpy Generator array fills consume the bit stream
+    element-wise exactly like sequential scalar calls, and the
+    element-wise clamps keep the builtins' tie rules, so the column
+    path must reproduce per-tick ``evaluate_all`` value for value and
+    leave the generator at the same stream position.
     """
 
-    @pytest.mark.parametrize("virtualized", [True, False])
-    def test_replay_matches_scalar_stream(self, registry, virtualized):
-        from repro.monitoring.metric import DrawRecorder, DrawSchedule
+    #: Per tick: cpu_cycles, mem_used, mem_total, disk_read, disk_write,
+    #: net_rx, capacity.  The rows hit every clamp: utilization above 1
+    #: and at zero capacity, used memory above the total and a zero
+    #: total, disk rates past the %util / %iowait caps, a tiny negative
+    #: counter (validate_monotonic allows -1e-9) and a signed zero.
+    TICKS = (
+        (1.4e9, 600e6, 2e9, 100e3, 300e3, 2e6, 11.2e9),
+        (2.5e10, 700e6, 2e9, 1e3, 1e3, 1e6, 11.2e9),
+        (0.0, 0.0, 2e9, 0.0, 0.0, -0.0, 11.2e9),
+        (1.0e9, 3e9, 2e9, 5e8, 4e8, 3e6, 0.0),
+        (9.0e8, 500e6, 0.0, -1e-10, 2e3, 5e5, 22.4e9),
+    )
 
-        source = (
+    @staticmethod
+    def _source(virtualized):
+        return (
             MetricSource.SYSSTAT_VM
             if virtualized
             else MetricSource.SYSSTAT_HYPERVISOR
         )
-        triples = registry.compiled(source) + registry.compiled(
-            MetricSource.PERF
+
+    def _scalar_rows(self, registry, virtualized, rng):
+        rows = []
+        for cpu, used, total, read, write, rx, capacity in self.TICKS:
+            d = make_inputs(virtualized=virtualized, cpu_cycles=cpu)
+            d.mem_used_bytes, d.mem_total_bytes = used, total
+            d.disk_read_bytes, d.disk_write_bytes = read, write
+            d.net_rx_bytes, d.capacity_cycles = rx, capacity
+            d.rng = rng
+            values = registry.evaluate_all(d, self._source(virtualized))
+            values.update(registry.evaluate_all(d, MetricSource.PERF))
+            rows.append(list(values.values()))
+        return np.array(rows)
+
+    def _block_inputs(self, virtualized):
+        cpu, used, total, read, write, rx, capacity = (
+            np.array(column) for column in zip(*self.TICKS)
+        )
+        requests = np.full(len(self.TICKS), 280.0)
+        return SampleInputs(
+            interval_s=2.0, cpu_cycles=cpu, mem_used_bytes=used,
+            mem_total_bytes=total, disk_read_bytes=read,
+            disk_write_bytes=write, net_rx_bytes=rx,
+            net_tx_bytes=np.full(len(self.TICKS), 3e6), requests=requests,
+            capacity_cycles=capacity, rng=None, virtualized=virtualized,
         )
 
-        def tick_inputs(rng, load, feed=None):
-            inputs = make_inputs(
-                virtualized=virtualized, cpu_cycles=1.4e9 * load
-            )
-            inputs.rng = rng
-            inputs.feed = feed
-            return inputs
-
-        loads = [1.0, 1.3, 0.7, 1.9]
+    @pytest.mark.parametrize("virtualized", [True, False])
+    def test_column_path_matches_scalar_stream(self, registry, virtualized):
+        triples = registry.compiled(self._source(virtualized)) + (
+            registry.compiled(MetricSource.PERF)
+        )
         r_scalar = np.random.default_rng(77)
-        scalar_rows = []
-        for load in loads:
-            d = tick_inputs(r_scalar, load)
-            scalar_rows.append([derive(d) for _, _, derive in triples])
+        scalar = self._scalar_rows(registry, virtualized, r_scalar)
 
-        r_batched = np.random.default_rng(77)
-        recorder = DrawRecorder(r_batched)
-        d = tick_inputs(r_batched, loads[0], feed=recorder)
-        batched_rows = [[derive(d) for _, _, derive in triples]]
+        block = self._block_inputs(virtualized)
+        recorder = ScheduleRecorder()
+        block.feed = recorder
+        for _, _, derive in triples:
+            derive(block)
         schedule = DrawSchedule(recorder.schedule)
-        assert schedule.size == len(recorder.schedule)
-        for load in loads[1:]:
-            feed = schedule.draw(r_batched)
-            d = tick_inputs(r_batched, load, feed=feed)
-            batched_rows.append([derive(d) for _, _, derive in triples])
-            # every pre-drawn value was consumed, none left over
-            assert feed.pos == schedule.size
-        assert np.array_equal(
-            np.array(scalar_rows), np.array(batched_rows)
-        )
+        r_column = np.random.default_rng(77)
+        noise = np.empty((len(self.TICKS), schedule.size))
+        for row in noise:
+            schedule.fill_row(r_column, row)
+        block.feed = feed = ColumnFeed(schedule.clamp(noise))
+        columns = np.empty((len(triples), len(self.TICKS)))
+        for i, (_, _, derive) in enumerate(triples):
+            columns[i] = derive(block)
+        # every column was handed out, none left over
+        assert feed.pos == schedule.size
+        # bitwise, so a signed zero or a NaN tie rule would show
+        assert columns.T.tobytes() == scalar.tobytes()
         # both generators are at the same stream position afterwards
-        assert r_scalar.random() == r_batched.random()
+        assert r_scalar.random() == r_column.random()
 
     def test_schedule_groups_consecutive_draws(self, registry):
-        from repro.monitoring.metric import DrawRecorder, DrawSchedule
-
-        rng = np.random.default_rng(3)
-        recorder = DrawRecorder(rng)
+        recorder = ScheduleRecorder()
         inputs = make_inputs(virtualized=True)
         inputs.feed = recorder
         for _, _, derive in registry.compiled(MetricSource.SYSSTAT_VM):
@@ -207,3 +245,20 @@ class TestDrawBatching:
         # hundreds of draws collapse into a handful of array segments
         assert schedule.size > 100
         assert len(schedule.segments) < 25
+        # recording draws nothing from the stream
+        assert inputs.rng.random() == np.random.default_rng(5).random()
+
+
+class TestElementwiseHelpers:
+    """``elem_min``/``elem_max`` keep the builtins' tie rules."""
+
+    CASES = [(0.0, -0.0), (-0.0, 0.0), (0.0, float("nan")),
+             (float("nan"), 0.0), (1.0, 2.0), (2.0, 1.0), (1.0, 1.0)]
+
+    @pytest.mark.parametrize("a,b", CASES)
+    def test_scalar_and_array_match_builtins(self, a, b):
+        for helper, builtin in ((elem_min, min), (elem_max, max)):
+            expected = np.float64(builtin(a, b)).tobytes()
+            assert np.float64(helper(a, b)).tobytes() == expected
+            got = helper(np.array([a]), np.array([b]))
+            assert got.tobytes() == expected
