@@ -10,8 +10,10 @@ Measures what fault *machinery* costs, not what faults do:
   horizon*.  The injection never fires, so the two runs simulate
   identical physics and the wall-clock difference is pure scheduler
   overhead — the number behind PERFORMANCE.md's "<= 2% when no faults
-  fire" invariant.  (A run with no ``faults`` field at all constructs
-  no controller and is bit-identical to the pre-fault baseline; the
+  fire" invariant.  After one untimed warm-up run, three alternating
+  clean/armed pairs are timed and the two sides' fastest runs are
+  compared.  (A run with no ``faults`` field at all constructs no
+  controller and is bit-identical to the pre-fault baseline; the
   trace-fingerprint tests pin that stronger invariant.)
 
 Quick mode: set ``REPRO_BENCH_QUICK=1`` to shrink horizons so the file
@@ -34,6 +36,8 @@ RESOLVES = 2_000 if QUICK else 20_000
 #: Scenario for the idle-scheduler isolation.
 DURATION_S = 60.0 if QUICK else 240.0
 CLIENTS = 200 if QUICK else 400
+#: Timed clean/armed pairs, alternating which side runs first.
+PAIRS = 3
 
 
 def test_schedule_resolution_cost(benchmark):
@@ -77,25 +81,31 @@ def test_idle_fault_scheduler_cost(benchmark):
                 (FaultSpec(kind="crash", at_s=10.0 * DURATION_S),)
             ),
         )
-        start = time.perf_counter()
+        # Untimed warm-up: the first run pays imports, calibration and
+        # cache fills that would otherwise land on the clean side.
         run_scenario(base)
-        wall_clean = time.perf_counter() - start
-        start = time.perf_counter()
-        run_scenario(armed)
-        wall_armed = time.perf_counter() - start
-        return wall_clean, wall_armed
+        walls = {"clean": [], "armed": []}
+        for pair in range(PAIRS):
+            order = ("clean", "armed") if pair % 2 == 0 else ("armed", "clean")
+            for side in order:
+                start = time.perf_counter()
+                run_scenario(base if side == "clean" else armed)
+                walls[side].append(time.perf_counter() - start)
+        return walls["clean"], walls["armed"]
 
-    wall_clean, wall_armed = benchmark.pedantic(run, rounds=1, iterations=1)
-    overhead = wall_armed / wall_clean - 1.0
+    clean, armed = benchmark.pedantic(run, rounds=1, iterations=1)
+    # Each side's fastest run is its least host-disturbed one.
+    overhead = min(armed) / min(clean) - 1.0
     benchmark.extra_info["overhead_fraction"] = round(overhead, 4)
-    benchmark.extra_info["clean_s"] = round(wall_clean, 3)
-    benchmark.extra_info["armed_s"] = round(wall_armed, 3)
+    benchmark.extra_info["clean_s"] = [round(wall, 3) for wall in clean]
+    benchmark.extra_info["armed_s"] = [round(wall, 3) for wall in armed]
     print(
-        f"\nidle fault scheduler: {wall_clean:.2f}s clean -> "
-        f"{wall_armed:.2f}s armed ({overhead:+.1%})"
+        f"\nidle fault scheduler: {min(clean):.2f}s clean -> "
+        f"{min(armed):.2f}s armed ({overhead:+.1%}, best of {PAIRS} "
+        "alternating pairs)"
     )
     # The documented invariant is <= 2%; the wall-clock difference of
-    # two short runs is noisy (CI machines especially), so the hard
-    # bound is generous — it exists to catch a scheduler accidentally
+    # short runs is noisy (CI machines especially), so the hard bound
+    # is generous — it exists to catch a scheduler accidentally
     # landing on the per-request hot path, not to referee 1% noise.
     assert overhead < 0.15
