@@ -10,6 +10,10 @@ the batched engine, and writes their fingerprints to
 ``registry`` section pins the full 518-metric registry of three more
 runs (virtualized browsing on batched, bare-metal bidding on classic,
 an autoscaled flash crowd on classic) by their columnar matrices.
+Its ``admission`` section pins three open-loop runs on both engines by
+their traffic report and offered-arrival trace as well (the baseline
+Poisson cell, an MMPP flash crowd, a budgeted Poisson run with retries
+shorter than the drain tick).
 
 Run this ONLY when a deliberate RNG-epoch change lands (a new engine, a
 re-ordering of random draws, a change to the drain schedule).  A routine
@@ -41,6 +45,7 @@ from repro.experiments.baseline import (  # noqa: E402
     BASELINE_OPEN_RATE_RPS,
     BASELINE_SEED,
     FINGERPRINT_PATH,
+    fingerprint_admission,
     fingerprint_engine,
     fingerprint_paths,
     fingerprint_registry,
@@ -57,6 +62,7 @@ def compute_document() -> dict:
         "engines": {engine: fingerprint_engine(engine) for engine in ENGINES},
         "batched_paths": fingerprint_paths(),
         "registry": fingerprint_registry(),
+        "admission": fingerprint_admission(),
     }
 
 
@@ -65,6 +71,7 @@ def _cells(document: dict) -> dict:
     groups = dict(document.get("engines", {}))
     groups["batched_paths"] = document.get("batched_paths", {})
     groups["registry"] = document.get("registry", {})
+    groups["admission"] = document.get("admission", {})
     return {
         f"{group} {cell}": fingerprint
         for group, cells in groups.items()

@@ -28,6 +28,10 @@ they carry no cross-engine bound.
 above sees a value of the 518-metric registry.  :func:`registry_cells`
 are three runs made with the full columnar registry, and
 :func:`registry_fingerprint` hashes their column names and matrix.
+
+Nor does it see an admission counter.  :func:`admission_cells` are
+three open-loop runs on both engines, and :func:`admission_fingerprint`
+adds each run's traffic report and offered-arrival trace to its digest.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.experiments.scenarios import (
     Scenario,
     autoscaled_flash_crowd_scenario,
     detect_and_evacuate_scenario,
+    flash_crowd_scenario,
     flash_crowd_window,
     open_loop_scenario,
     scenario,
@@ -195,6 +200,62 @@ def fingerprint_registry() -> Dict[str, str]:
     return {
         cell: registry_fingerprint(run_registry_cell(spec))
         for cell, spec in registry_cells().items()
+    }
+
+
+def admission_cells() -> Dict[str, Scenario]:
+    """Open-loop cells that pin admission, shedding and retries.
+
+    Each runs on both engines, keyed ``<cell>%<engine>``:
+
+    * the baseline Poisson cell (no budget: every offer is admitted);
+    * an MMPP flash crowd against a 150-visit budget (thinning over a
+      regime-switching base, heavy shedding at the surge);
+    * Poisson against a 20-visit budget with three retries and a
+      0.05 s base backoff, so a shed visit retries inside the drain
+      tick that shed it.
+    """
+    poisson = baseline_scenarios()["virtualized/browsing/poisson"]
+    mmpp = flash_crowd_scenario(
+        kind="mmpp", clients=200, session_budget=150,
+        duration_s=BASELINE_DURATION_S, seed=BASELINE_SEED,
+    )
+    retry = replace(
+        poisson,
+        name=f"{poisson.name}/retry",
+        traffic=replace(
+            poisson.traffic, session_budget=20, retry_max=3,
+            retry_backoff_s=0.05, requests_per_session=3,
+        ),
+    )
+    cells = {
+        "virtualized/browsing/poisson": poisson,
+        "flash_crowd/mmpp": mmpp,
+        "virtualized/browsing/poisson/retry": retry,
+    }
+    return {
+        f"{cell}%{engine}": with_engine(spec, engine)
+        for engine in ENGINES
+        for cell, spec in cells.items()
+    }
+
+
+def admission_fingerprint(result) -> str:
+    """SHA-256 over a run's fingerprint, traffic report and arrivals."""
+    digest = hashlib.sha256()
+    digest.update(result_fingerprint(result).encode())
+    digest.update(repr(sorted(result.traffic_report.items())).encode())
+    digest.update(result.arrival_trace.sha256().encode())
+    return digest.hexdigest()[:16]
+
+
+def fingerprint_admission() -> Dict[str, str]:
+    """Run every :func:`admission_cells` cell and fingerprint it."""
+    from repro.experiments.runner import run_scenario
+
+    return {
+        cell: admission_fingerprint(run_scenario(spec))
+        for cell, spec in admission_cells().items()
     }
 
 

@@ -14,6 +14,9 @@ the trade safe:
 * the full 518-metric registry of three runs (one per collector set,
   one resized by a controller mid-run) is pinned by its columnar
   matrix,
+* three open-loop runs on both engines (no budget, an MMPP flash crowd,
+  retries inside the drain tick) are pinned with their admission
+  counters and offered-arrival trace,
 * at matched seeds the two engines are **equivalent in distribution**:
   two-sample KS on response times, relative-error bounds on
   throughput / utilization / CPU-ready aggregates, and per-figure
@@ -27,6 +30,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.baseline import (
+    admission_cells,
+    admission_fingerprint,
     baseline_scenarios,
     ks_statistic,
     ks_threshold,
@@ -49,6 +54,7 @@ OPEN_CELL = "virtualized/browsing/poisson"
 ALL_CELLS = CLOSED_CELLS + [OPEN_CELL]
 PATH_CELLS = list(path_cells())
 REGISTRY_CELLS = list(registry_cells())
+ADMISSION_CELLS = list(admission_cells())
 
 #: Figure resources compared per entity (the four per-panel series the
 #: paper's figures plot).
@@ -122,6 +128,22 @@ class TestPinnedFingerprints:
         assert registry_fingerprint(result) == pinned["registry"][cell], (
             f"registry fingerprint drifted for {cell} — a registry "
             "value moved; fix the regression (do NOT rebaseline)"
+        )
+
+    @pytest.mark.parametrize("cell", ADMISSION_CELLS)
+    def test_admission_pins(self, pinned, cell):
+        result = run_scenario(admission_cells()[cell])
+        report = result.traffic_report
+        if "/retry" in cell or cell.startswith("flash_crowd/"):
+            # The budget binds, so the cell pins the gate, not only
+            # the arrivals.
+            assert report["shed"] > 0
+        if "/retry" in cell:
+            assert report["retried"] > 0
+        assert admission_fingerprint(result) == pinned["admission"][cell], (
+            f"admission fingerprint drifted for {cell} — an admission "
+            "decision or an offered arrival moved; fix the regression "
+            "(do NOT rebaseline)"
         )
 
 
