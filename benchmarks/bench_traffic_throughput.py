@@ -3,7 +3,9 @@
 Records arrivals/s through three layers:
 
 * pure generation — how fast each arrival process emits timestamps
-  (the batched-sampling fast path, no simulator),
+  (the batched-sampling fast path, no simulator), and how fast a
+  flash-crowd envelope thins a Poisson base one arrival at a time
+  against a whole drain tick at a time,
 * end-to-end open-loop — a high-rate Poisson stream through the full
   virtualized deployment with monitoring attached,
 * the flash-crowd scenario — the overload configuration, with the
@@ -17,19 +19,28 @@ runs in a few seconds (the CI smoke configuration).
 import os
 import time
 
+import numpy as np
+
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import flash_crowd_scenario, open_loop_scenario
+from repro.sim.batched import DRAIN_INTERVAL_S
 from repro.sim.random import RandomStreams
 from repro.traffic.arrivals import (
     BModelProcess,
     MMPPProcess,
+    ModulatedProcess,
     PoissonProcess,
 )
+from repro.traffic.shapes import FlashCrowdShape
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "").strip() in ("1", "true", "yes")
 
 #: Arrivals drawn per generator microbenchmark.
 GENERATOR_ARRIVALS = 100_000 if QUICK else 1_000_000
+#: Thinned-generator horizon and base rate: the 1000-client flash
+#: crowd's peak visit rate (1000 / 7 s think / 5 requests x 20).
+THINNED_HORIZON_S = 60.0 if QUICK else 240.0
+THINNED_BASE_RPS = 571.0
 #: End-to-end horizon (simulated seconds) and offered rate.
 HORIZON_S = 30.0 if QUICK else 120.0
 OFFERED_RPS = 1_000.0 if QUICK else 4_000.0
@@ -67,6 +78,54 @@ def test_generator_throughput(benchmark):
     )
     # The batched fast path should clear 100k arrivals/s with margin.
     assert min(rates.values()) > 100_000
+
+
+def _thinned_flash_crowd() -> ModulatedProcess:
+    """A flash-crowd envelope over Poisson, sharing one stream."""
+    horizon = THINNED_HORIZON_S
+    shape = FlashCrowdShape(
+        peak_time_s=0.40 * horizon,
+        magnitude=20.0,
+        rise_s=0.08 * horizon,
+        decay_s=0.25 * horizon,
+    )
+    rng = RandomStreams(seed=42).stream("traffic.arrivals")
+    return ModulatedProcess(PoissonProcess(THINNED_BASE_RPS, rng), shape, rng)
+
+
+def test_thinned_generator_throughput(benchmark):
+    """Thinned arrivals/s: one at a time vs a drain tick at a time."""
+    edges = np.arange(1, int(THINNED_HORIZON_S / DRAIN_INTERVAL_S) + 1)
+    edges = edges * DRAIN_INTERVAL_S
+
+    def run():
+        process = _thinned_flash_crowd()
+        start = time.perf_counter()
+        one_by_one = []
+        t = process.next_arrival()
+        while t is not None and t <= THINNED_HORIZON_S:
+            one_by_one.append(t)
+            t = process.next_arrival()
+        scalar_s = time.perf_counter() - start
+        process = _thinned_flash_crowd()
+        start = time.perf_counter()
+        ticks = [process.take_through(edge) for edge in edges]
+        tick_s = time.perf_counter() - start
+        return np.asarray(one_by_one), np.concatenate(ticks), scalar_s, tick_s
+
+    one_by_one, per_tick, scalar_s, tick_s = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
+    count = per_tick.size
+    benchmark.extra_info["arrivals"] = count
+    benchmark.extra_info["next_arrival_per_s"] = round(count / scalar_s)
+    benchmark.extra_info["take_through_per_s"] = round(count / tick_s)
+    print(
+        f"\nthinned flash crowd ({count:,} arrivals): "
+        f"next_arrival {count / scalar_s:,.0f}/s, "
+        f"take_through per {DRAIN_INTERVAL_S} s tick {count / tick_s:,.0f}/s"
+    )
+    np.testing.assert_array_equal(per_tick, one_by_one)
 
 
 def test_open_loop_end_to_end_throughput(benchmark):

@@ -19,7 +19,11 @@ Two drivers mirror the classic traffic drivers one-for-one:
 * :class:`BatchedOpenDriver` — the open-loop driver.  It consumes the
   *same* ``"<stream>.arrivals"`` RNG stream through the same
   :func:`~repro.traffic.spec.build_process`, so the offered arrival
-  times are bit-identical to the classic engine at matched seeds.
+  times are bit-identical to the classic engine at matched seeds.  Its
+  drain costs per array, not per offer: it takes a tick's arrivals in
+  one call, gates each admission pass with one array expression
+  (:func:`admission_pass`), and admits and sheds whole arrays, with
+  the same draws, slots and retries a walk over single offers makes.
 
 A drain runs one or more *waves*; a wave is one cohort pushed through
 :meth:`BatchedPhysics.process`, so what a wave costs beyond its rows is
@@ -70,7 +74,6 @@ the distributional tolerances):
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import ceil
 from typing import Dict, List, Optional
 
@@ -989,6 +992,36 @@ class BatchedClosedDriver:
             _record_requests(stats, physics.table.names, cohorts)
 
 
+def admission_pass(
+    offers: np.ndarray, finishes: np.ndarray, budget: int, in_flight: int
+) -> np.ndarray:
+    """Which offers one walk of the session-budget gate admits.
+
+    The walk takes the time-sorted ``offers`` in order and admits an
+    offer iff the sessions in flight at its time stay below ``budget``:
+    ``in_flight``, plus the offers it admitted before, plus the
+    ``finishes`` (sorted) that fall after the offer.  With ``a_i``
+    offers admitted before offer ``i`` and room ``s_i = max(budget -
+    in_flight - later_i, 0)``, the walk is ``a_{i+1} = min(a_i + 1,
+    max(a_i, s_i))``.  The room never shrinks along the sorted offers,
+    so ``a_i <= s_i`` throughout and the walk unrolls to ``a_{i+1} =
+    min(i + 1, i + min_{j<=i}(s_j - j))``: one array expression in
+    place of a walk with a bisection per offer.  Offer ``i`` is
+    admitted iff ``a_{i+1} > a_i``.
+    """
+    later = finishes.size - finishes.searchsorted(offers, "right")
+    room = np.maximum(budget - in_flight - later, 0)
+    index = np.arange(offers.size)
+    admitted = np.minimum(
+        index + 1, np.minimum.accumulate(room - index) + index
+    )
+    return admitted > np.concatenate(([0], admitted[:-1]))
+
+
+def _sorted_finishes(finishes: List[np.ndarray]) -> np.ndarray:
+    return np.sort(np.concatenate(finishes)) if finishes else np.empty(0)
+
+
 class BatchedOpenDriver(AdmissionLedger):
     """Open-loop driver over column arrays.
 
@@ -998,6 +1031,17 @@ class BatchedOpenDriver(AdmissionLedger):
     stream, so offered arrival times are bit-identical to the classic
     engine; admission, transitions and think times draw from the new
     ``batched.sessions`` stream.
+
+    A drain handles its offers as arrays: it takes the tick's arrivals
+    in one :meth:`~repro.traffic.arrivals.ArrivalProcess.take_through`,
+    gates each admission pass with :func:`admission_pass`, and admits
+    and sheds whole arrays of offers.  Every result equals a walk that
+    admits one offer at a time: an admission pass draws one uniform per
+    admitted offer in a single call, and takes free slots in the order
+    one pop per offer would (growing the slot arrays mid-pass when they
+    run out), because the stable sort of a wave breaks ties in ``wake``
+    by slot.  Shed offers wait as two arrays, due time and attempt, in
+    the order they were shed.
     """
 
     def __init__(
@@ -1027,28 +1071,28 @@ class BatchedOpenDriver(AdmissionLedger):
         )
         self.tracer = tracer
         self.walks = _MatrixWalk(matrices, self.physics.table)
-        # Session slots (SoA with a free list).
+        # Session slots (SoA with a free list).  A free slot holds
+        # ``wake = inf``, so ``wake <= tick`` selects the due sessions.
         capacity = 64
         self.wake = np.full(capacity, np.inf)
         self.stype = np.zeros(capacity, dtype=np.int8)
         self.state = np.zeros(capacity, dtype=np.int64)
         self.remaining = np.zeros(capacity, dtype=np.int64)
-        self.active = np.zeros(capacity, dtype=bool)
         # Monotonic per-session serial (the classic driver's session_id);
         # slots are recycled, serials are not, so the trace sampler keys
         # on a stable identity.
         self.serial = np.zeros(capacity, dtype=np.int64)
         self._next_serial = 0
         self._free: List[int] = list(range(capacity - 1, -1, -1))
-        self._pending_arrival: Optional[float] = None
-        self._retries: List[tuple] = []  # (due_time, attempt)
+        # Pending retries: due time and attempt number, in shed order.
+        self._retry_due = np.empty(0)
+        self._retry_attempt = np.empty(0, dtype=np.int64)
         self._drain_process: Optional[PeriodicProcess] = None
 
     def start(self) -> None:
         if self._started:
             raise ConfigurationError("driver already started")
         self._started = True
-        self._pending_arrival = self.process.next_arrival()
         self._drain_process = PeriodicProcess(
             self.sim,
             DRAIN_INTERVAL_S,
@@ -1062,8 +1106,7 @@ class BatchedOpenDriver(AdmissionLedger):
     def _grow(self) -> None:
         old = self.wake.size
         new = old * 2
-        for name in ("wake", "stype", "state", "remaining", "active",
-                     "serial"):
+        for name in ("wake", "stype", "state", "remaining", "serial"):
             array = getattr(self, name)
             grown = np.zeros(new, dtype=array.dtype)
             grown[:old] = array
@@ -1071,28 +1114,63 @@ class BatchedOpenDriver(AdmissionLedger):
         self.wake[old:] = np.inf
         self._free.extend(range(new - 1, old - 1, -1))
 
-    def _admit(self, t: float) -> None:
-        self.arrivals_admitted += 1
-        self._in_flight += 1
-        if not self._free:
+    def _take_slots(self, count: int) -> List[int]:
+        """``count`` free slots, in the order that many pops give them."""
+        free = self._free
+        slots: List[int] = []
+        while True:
+            take = min(count - len(slots), len(free))
+            if take:
+                slots.extend(reversed(free[-take:]))
+                del free[-take:]
+            if len(slots) == count:
+                return slots
             self._grow()
-        slot = self._free.pop()
-        type_index = 0 if self.rng.uniform() < self.mix.browse_fraction else 1
-        self.stype[slot] = type_index
-        self.state[slot] = self.walks.initial[type_index]
-        self.remaining[slot] = self.requests_per_session
-        self.wake[slot] = t
-        self.active[slot] = True
-        self.serial[slot] = self._next_serial
-        self._next_serial += 1
 
-    def _handle_shed(self, t: float, attempt: int) -> None:
-        if attempt < self.retry_max:
-            self.arrivals_retried += 1
-            delay = self.retry_backoff_s * (2.0 ** attempt)
-            self._retries.append((t + delay, attempt + 1))
-        else:
-            self.arrivals_abandoned += 1
+    def _admit(self, times: np.ndarray) -> None:
+        """Start one session per offer, at the offer's time, in order."""
+        count = int(times.size)
+        if not count:
+            return
+        self.arrivals_admitted += count
+        self._in_flight += count
+        slots = np.asarray(self._take_slots(count))
+        draws = self.rng.uniform(size=count)
+        types = (draws >= self.mix.browse_fraction).astype(np.int8)
+        self.stype[slots] = types
+        self.state[slots] = self.walks.initial[types]
+        self.remaining[slots] = self.requests_per_session
+        self.wake[slots] = times
+        self.serial[slots] = np.arange(
+            self._next_serial, self._next_serial + count
+        )
+        self._next_serial += count
+
+    def _shed(self, times: np.ndarray, attempts: np.ndarray) -> None:
+        """Each shed offer retries with backoff or, out of tries, abandons."""
+        retry = attempts < self.retry_max
+        retried = int(retry.sum())
+        self.arrivals_retried += retried
+        self.arrivals_abandoned += int(attempts.size) - retried
+        if retried:
+            tries = attempts[retry]
+            self._retry_due = np.concatenate((
+                self._retry_due,
+                times[retry] + self.retry_backoff_s * 2.0 ** tries,
+            ))
+            self._retry_attempt = np.concatenate(
+                (self._retry_attempt, tries + 1)
+            )
+
+    def _take_due_retries(self, tick_time: float):
+        """Remove and return the retries due by ``tick_time``, in shed order."""
+        due = self._retry_due <= tick_time
+        times = self._retry_due[due]
+        attempts = self._retry_attempt[due]
+        if times.size:
+            self._retry_due = self._retry_due[~due]
+            self._retry_attempt = self._retry_attempt[~due]
+        return times, attempts
 
     # -- the drain ----------------------------------------------------------
 
@@ -1100,30 +1178,23 @@ class BatchedOpenDriver(AdmissionLedger):
         cohorts: List[np.ndarray] = []
 
         # 1. Offer this tick's arrivals (and due retries) in time order.
-        arrivals: List[float] = []
-        t = self._pending_arrival
-        while t is not None and t <= tick_time:
-            arrivals.append(t)
-            t = self.process.next_arrival()
-        self._pending_arrival = t
-        if arrivals:
-            times = np.asarray(arrivals)
+        times = self.process.take_through(tick_time)
+        if times.size:
             self.meter.record_batch(times)
-            self.arrivals_offered += len(arrivals)
-        due_retries = [r for r in self._retries if r[0] <= tick_time]
-        if due_retries:
-            self._retries = [r for r in self._retries if r[0] > tick_time]
-        pending = [(t, 0, False) for t in arrivals] + [
-            (t, attempt, True) for (t, attempt) in due_retries
-        ]
-        pending.sort(key=lambda o: o[0])
+            self.arrivals_offered += int(times.size)
+        attempts = np.zeros(times.size, dtype=np.int64)
+        retry_times, retry_attempts = self._take_due_retries(tick_time)
+        if retry_times.size:
+            times = np.concatenate((times, retry_times))
+            attempts = np.concatenate((attempts, retry_attempts))
+            order = times.argsort(kind="stable")
+            times, attempts = times[order], attempts[order]
 
         budget = self.session_budget
         if budget is None:
             # No gate: every offer starts a session at its arrival time.
-            for offer_time, _attempt, _is_retry in pending:
-                self._admit(offer_time)
-            pending = []
+            self._admit(times)
+            times = times[:0]
 
         # 2. Alternate wave processing with budgeted admission until a
         #    fixpoint.  The classic gate frees a slot the instant a
@@ -1138,52 +1209,38 @@ class BatchedOpenDriver(AdmissionLedger):
         #    in the common non-saturated case it converges in two or
         #    three passes (first the carried budget, then the offers
         #    freed by completions inside the window).
-        finishes: List[float] = []
+        finishes: List[np.ndarray] = []
         while True:
             self._run_waves(tick_time, cohorts, finishes)
-            if not pending:
+            if not times.size:
                 break
-            finishes.sort()
-            still: List[tuple] = []
-            progressed = False
-            for offer_time, attempt, is_retry in pending:
-                in_flight_at_offer = self._in_flight + (
-                    len(finishes)
-                    - bisect_right(finishes, offer_time)
-                )
-                if in_flight_at_offer < budget:
-                    self._admit(offer_time)
-                    progressed = True
-                else:
-                    still.append((offer_time, attempt, is_retry))
-            pending = still
-            if not progressed:
+            admit = admission_pass(
+                times, _sorted_finishes(finishes), budget, self._in_flight
+            )
+            if not admit.any():
                 break
+            self._admit(times[admit])
+            times, attempts = times[~admit], attempts[~admit]
 
-        # 3. Offers no completion could save are genuinely shed.
-        for offer_time, attempt, is_retry in pending:
-            if not is_retry:
-                self.arrivals_shed += 1
-            self._handle_shed(offer_time, attempt)
-        if pending:
+        # 3. Offers no completion could save are genuinely shed; only
+        #    first attempts count as shed arrivals.
+        if times.size:
+            self.arrivals_shed += int((attempts == 0).sum())
+            self._shed(times, attempts)
             # Retries scheduled by the sheds above may fall inside this
-            # very window; give them one more gate walk so a backoff
-            # shorter than the tick is not silently deferred.
-            due_again = [r for r in self._retries if r[0] <= tick_time]
-            if due_again:
-                self._retries = [
-                    r for r in self._retries if r[0] > tick_time
-                ]
-                finishes.sort()
-                for offer_time, attempt in sorted(due_again):
-                    in_flight_at_offer = self._in_flight + (
-                        len(finishes)
-                        - bisect_right(finishes, offer_time)
-                    )
-                    if in_flight_at_offer < budget:
-                        self._admit(offer_time)
-                    else:
-                        self._handle_shed(offer_time, attempt)
+            # very window; give them one more gate walk, in (time,
+            # attempt) order, so a backoff shorter than the tick is not
+            # silently deferred.
+            times, attempts = self._take_due_retries(tick_time)
+            if times.size:
+                order = np.lexsort((attempts, times))
+                times, attempts = times[order], attempts[order]
+                admit = admission_pass(
+                    times, _sorted_finishes(finishes), budget,
+                    self._in_flight,
+                )
+                self._admit(times[admit])
+                self._shed(times[~admit], attempts[~admit])
                 self._run_waves(tick_time, cohorts, finishes)
 
         if cohorts:
@@ -1193,20 +1250,20 @@ class BatchedOpenDriver(AdmissionLedger):
 
     def _run_waves(
         self, tick_time: float, cohorts: List[np.ndarray],
-        finishes: List[float],
+        finishes: List[np.ndarray],
     ) -> None:
         """Process due request waves until no session wakes inside the tick.
 
         Appends each wave's interaction indices to ``cohorts`` (the
         drain calls ``physics.begin_drain`` before its first wave) and
-        the exact finish time of every session that completes to
+        the exact finish times of the sessions that complete to
         ``finishes`` (the admission gate's evidence).
         """
         physics = self.physics
         walks = self.walks
         stats = self.stats
         while True:
-            due = (self.active & (self.wake <= tick_time)).nonzero()[0]
+            due = (self.wake <= tick_time).nonzero()[0]
             if due.size == 0:
                 break
             if not cohorts:
@@ -1232,12 +1289,11 @@ class BatchedOpenDriver(AdmissionLedger):
             finished = self.remaining[due] <= 0
             if finished.any():
                 done_slots = due[finished]
-                self.active[done_slots] = False
                 self.wake[done_slots] = np.inf
                 self._free.extend(done_slots.tolist())
                 self.sessions_completed += int(done_slots.size)
                 self._in_flight -= int(done_slots.size)
-                finishes.extend(t_done[finished].tolist())
+                finishes.append(t_done[finished])
             live = due[~finished]
             if live.size:
                 thinks = self.rng.exponential(

@@ -4,9 +4,12 @@ Each process is an iterator of absolute arrival times on the simulated
 clock, drawing from one named engine RNG stream
 (:class:`repro.sim.random.RandomStreams`), so identical seeds reproduce
 identical arrival streams and distinct stream names are statistically
-disjoint.  All processes batch their sampling — a refill draws hundreds
-of arrivals in one vectorized numpy call — so the per-arrival cost is
-amortized O(1) regardless of rate.
+disjoint.  Every process is buffered: a refill draws a whole batch of
+arrivals in a few vectorized numpy calls, and the consumer takes them
+one at a time (:meth:`ArrivalProcess.next_arrival`, the classic
+engine's event per arrival) or a whole drain tick at a time
+(:meth:`ArrivalProcess.take_through`, the batched engine), so the cost
+per arrival is amortized O(1) regardless of rate.
 
 Three stationary families cover the workload-characterization
 literature:
@@ -24,6 +27,15 @@ process by Lewis-Shedler thinning: the base runs at the envelope's peak
 rate and each arrival survives with probability ``factor(t) / max``.
 For a Poisson base this is exact; for MMPP/b-model bases it rescales
 the conditional intensity by the envelope, preserving burst structure.
+Thinning is batched too: a refill takes the base's next batch and draws
+one uniform per base arrival in a single call.  When the base and the
+thinning share one stream, as :func:`repro.traffic.spec.build_process`
+builds them, the draws come in the order a one-arrival-at-a-time walk
+makes them (the base's batch, then one uniform per base arrival), so
+the arrivals are the same whichever way they are taken.  The envelope
+is evaluated with the shape's scalar ``factor`` per arrival: a
+vectorized ``np.exp`` can differ from ``math.exp`` in the last bit,
+which would flip a thinning decision now and then.
 """
 
 from __future__ import annotations
@@ -40,22 +52,14 @@ _BATCH = 256
 
 
 class ArrivalProcess:
-    """Interface: a nondecreasing stream of absolute arrival times."""
+    """A nondecreasing stream of absolute arrival times, drawn in batches.
+
+    A subclass implements :meth:`_refill`; this base hands the buffered
+    batches out one arrival at a time or up to a horizon.
+    """
 
     #: Nominal long-run arrivals/s of the process.
     rate_rps: float = 0.0
-
-    def next_arrival(self) -> Optional[float]:
-        """The next arrival time in seconds, or None when exhausted.
-
-        Stationary processes never exhaust; trace replays do at the end
-        of the trace.
-        """
-        raise NotImplementedError
-
-
-class _BatchedProcess(ArrivalProcess):
-    """Base class implementing the buffered-batch iteration protocol."""
 
     def __init__(self, start_time_s: float = 0.0) -> None:
         if start_time_s < 0:
@@ -67,12 +71,19 @@ class _BatchedProcess(ArrivalProcess):
     def _refill(self) -> Optional[np.ndarray]:
         """Produce the next batch of absolute times (None = exhausted).
 
-        An empty array is a valid batch (an interval with no arrivals);
-        the iterator keeps refilling until it gets a time or None.
+        A batch is sorted, and starts no earlier than the previous one
+        ended.  An empty array is a valid batch (an interval with no
+        arrivals); the consumers keep refilling until they get a time
+        or None.
         """
         raise NotImplementedError
 
     def next_arrival(self) -> Optional[float]:
+        """The next arrival time in seconds, or None when exhausted.
+
+        Stationary processes never exhaust; trace replays do at the end
+        of the trace.
+        """
         while self._cursor >= len(self._buffer):
             batch = self._refill()
             if batch is None:
@@ -83,8 +94,30 @@ class _BatchedProcess(ArrivalProcess):
         self._cursor += 1
         return value
 
+    def take_through(self, horizon_s: float) -> np.ndarray:
+        """Every untaken arrival at or before ``horizon_s``, as one array.
 
-class PoissonProcess(_BatchedProcess):
+        Takes exactly the arrivals a ``next_arrival`` loop stopping at
+        the first time past ``horizon_s`` would return, and refills
+        exactly when that loop would.
+        """
+        parts = []
+        while True:
+            rest = self._buffer[self._cursor:]
+            taken = int(rest.searchsorted(horizon_s, "right"))
+            parts.append(rest[:taken])
+            self._cursor += taken
+            if taken < rest.size:
+                break
+            batch = self._refill()
+            if batch is None:
+                break
+            self._buffer = batch
+            self._cursor = 0
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class PoissonProcess(ArrivalProcess):
     """Stationary Poisson arrivals at ``rate_rps``."""
 
     def __init__(
@@ -106,7 +139,7 @@ class PoissonProcess(_BatchedProcess):
         return times
 
 
-class MMPPProcess(_BatchedProcess):
+class MMPPProcess(ArrivalProcess):
     """Markov-modulated Poisson process over K rate regimes.
 
     The process sojourns in regime ``i`` for an exponential time with
@@ -197,7 +230,7 @@ class MMPPProcess(_BatchedProcess):
         return times
 
 
-class BModelProcess(_BatchedProcess):
+class BModelProcess(ArrivalProcess):
     """Self-similar arrivals from a multiplicative b-model cascade.
 
     Each refill covers one ``window_s``-long window whose total expected
@@ -260,7 +293,8 @@ class ModulatedProcess(ArrivalProcess):
     ``base`` must be constructed at ``target_rate * shape.max_factor()``
     (the :mod:`repro.traffic.spec` builders do this); each base arrival
     at time ``t`` then survives with probability
-    ``shape.factor(t) / shape.max_factor()``.
+    ``shape.factor(t) / shape.max_factor()``.  The thinning consumes
+    the base batch by batch, so the base must not be read elsewhere.
     """
 
     def __init__(
@@ -274,6 +308,7 @@ class ModulatedProcess(ArrivalProcess):
             raise ConfigurationError(
                 "shape.max_factor() must be positive for thinning"
             )
+        super().__init__()
         self.base = base
         self.shape = shape
         self._bound = float(bound)
@@ -281,17 +316,15 @@ class ModulatedProcess(ArrivalProcess):
         #: Nominal unshaped rate (the base generates at peak rate).
         self.rate_rps = base.rate_rps / self._bound
 
-    def next_arrival(self) -> Optional[float]:
-        base_next = self.base.next_arrival
-        factor = self.shape.factor
-        bound = self._bound
-        rng = self._rng
-        while True:
-            t = base_next()
-            if t is None:
-                return None
-            if rng.random() * bound < factor(t):
-                return t
+    def _refill(self) -> Optional[np.ndarray]:
+        times = self.base._refill()
+        if times is None:
+            return None
+        n = len(times)
+        factors = np.fromiter(
+            map(self.shape.factor, times.tolist()), float, n
+        )
+        return times[self._rng.random(n) * self._bound < factors]
 
 
 def drain_process(

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import AnalysisError, ConfigurationError
-from repro.traffic.arrivals import _BatchedProcess
+from repro.traffic.arrivals import ArrivalProcess
 from repro.units import SAMPLE_PERIOD_S
 
 #: Canonical column names of the native CSV/NPZ layout.
@@ -401,7 +401,7 @@ class RateTrace:
         )
 
 
-class TraceReplayProcess(_BatchedProcess):
+class TraceReplayProcess(ArrivalProcess):
     """Open-loop replay of a :class:`RateTrace`.
 
     Each trace interval contributes a Poisson-distributed arrival count

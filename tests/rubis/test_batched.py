@@ -1,13 +1,17 @@
 """Unit tests for the batched engine's array primitives and drivers."""
 
 import heapq
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import scenario
+from repro.rubis.batched import BatchedOpenDriver, admission_pass
 from repro.sim.batched import DRAIN_INTERVAL_S, FcfsPool, lindley
 
 
@@ -216,3 +220,144 @@ class TestBatchedDriverSmoke:
             if frequency > 0.08:
                 observed = counts_b.get(state, 0) / total_b
                 assert observed == pytest.approx(frequency, abs=0.02)
+
+
+def scalar_gate_walk(offers, finishes, budget, in_flight):
+    """One walk of the session-budget gate, one offer at a time."""
+    finishes = sorted(finishes)
+    admitted = []
+    for t in offers:
+        later = len(finishes) - bisect_right(finishes, t)
+        admit = in_flight + later < budget
+        in_flight += admit
+        admitted.append(admit)
+    return admitted
+
+
+#: Offer and finish times on a coarse grid, so ties between offers,
+#: between finishes, and between an offer and a finish are common.
+_GRID_TIMES = st.integers(min_value=0, max_value=12).map(lambda i: i * 0.02)
+
+
+class TestAdmissionPass:
+    @given(
+        offers=st.lists(_GRID_TIMES, max_size=40),
+        finishes=st.lists(_GRID_TIMES, max_size=40),
+        budget=st.integers(min_value=1, max_value=12),
+        in_flight=st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_scalar_walk(
+        self, offers, finishes, budget, in_flight
+    ):
+        offers = sorted(offers)
+        got = admission_pass(
+            np.asarray(offers, dtype=float),
+            np.sort(np.asarray(finishes, dtype=float)),
+            budget,
+            in_flight,
+        )
+        assert got.dtype == bool
+        assert got.tolist() == scalar_gate_walk(
+            offers, finishes, budget, in_flight
+        )
+
+    def test_budget_below_in_flight_admits_nothing(self):
+        offers = np.array([0.1, 0.2, 0.3])
+        got = admission_pass(offers, np.array([0.15]), 2, 5)
+        assert not got.any()
+
+    def test_each_finish_frees_one_later_offer(self):
+        offers = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        # Full at the start: one session stays in flight, two more
+        # finish at 0.15 and 0.25.
+        got = admission_pass(offers, np.array([0.15, 0.25]), 3, 1)
+        assert got.tolist() == [False, False, True, True, False]
+
+
+class TestBulkAdmission:
+    """A bulk admit equals one scalar admit per offer."""
+
+    @staticmethod
+    def _driver():
+        from repro.experiments.runner import prepare_run
+        from repro.experiments.scenarios import open_loop_scenario, with_engine
+
+        spec = open_loop_scenario(
+            "virtualized", "blend_50_50", rate_rps=50.0, duration_s=10.0,
+            seed=2, session_budget=10,
+        )
+        driver = prepare_run(with_engine(spec, "batched")).testbed.web.population
+        assert isinstance(driver, BatchedOpenDriver)
+        return driver
+
+    @staticmethod
+    def _scalar_admit(driver, t):
+        """The one-offer admit: pop a slot (growing when none is free),
+        draw the session type, fill the slot's columns."""
+        driver.arrivals_admitted += 1
+        driver._in_flight += 1
+        if not driver._free:
+            driver._grow()
+        slot = driver._free.pop()
+        browse = driver.rng.uniform() < driver.mix.browse_fraction
+        type_index = 0 if browse else 1
+        driver.stype[slot] = type_index
+        driver.state[slot] = driver.walks.initial[type_index]
+        driver.remaining[slot] = driver.requests_per_session
+        driver.wake[slot] = t
+        driver.serial[slot] = driver._next_serial
+        driver._next_serial += 1
+
+    def _assert_same(self, bulk, scalar):
+        for name in ("wake", "stype", "state", "remaining", "serial"):
+            np.testing.assert_array_equal(
+                getattr(bulk, name), getattr(scalar, name), err_msg=name
+            )
+        assert bulk._free == scalar._free
+        assert bulk._next_serial == scalar._next_serial
+        assert bulk.arrivals_admitted == scalar.arrivals_admitted
+        assert bulk._in_flight == scalar._in_flight
+        assert bulk.rng.random() == scalar.rng.random()
+
+    def test_admit_across_grow_takes_the_scalar_slots(self):
+        bulk, scalar = self._driver(), self._driver()
+        assert bulk.mix.browse_fraction < 1.0
+        first = np.linspace(0.0, 0.2, 50)
+        bulk._admit(first)
+        for t in first:
+            self._scalar_admit(scalar, float(t))
+        self._assert_same(bulk, scalar)
+        # Three sessions finish, their slots freed out of order; the
+        # next 100 offers use them, the 14 never-used slots, and then
+        # two grows (64 -> 128 -> 256) in the middle of the batch.
+        for driver in (bulk, scalar):
+            driver.wake[[7, 3, 30]] = np.inf
+            driver._free.extend([7, 3, 30])
+        second = np.linspace(0.2, 0.25, 100)
+        bulk._admit(second)
+        for t in second:
+            self._scalar_admit(scalar, float(t))
+        assert bulk.wake.size == 256
+        self._assert_same(bulk, scalar)
+        stypes = bulk.stype[np.isfinite(bulk.wake)]
+        assert 0 < stypes.sum() < stypes.size
+
+    def test_empty_admit_draws_nothing(self):
+        bulk, scalar = self._driver(), self._driver()
+        bulk._admit(np.empty(0))
+        self._assert_same(bulk, scalar)
+
+    def test_shed_keeps_retries_in_shed_order(self):
+        driver = self._driver()
+        driver.retry_max = 2
+        driver.retry_backoff_s = 0.05
+        driver._shed(np.array([0.3, 0.1, 0.2]), np.array([0, 2, 1]))
+        assert driver.arrivals_retried == 2
+        assert driver.arrivals_abandoned == 1
+        np.testing.assert_array_equal(driver._retry_due, [0.35, 0.2 + 0.1])
+        np.testing.assert_array_equal(driver._retry_attempt, [1, 2])
+        times, attempts = driver._take_due_retries(0.31)
+        np.testing.assert_array_equal(times, [0.2 + 0.1])
+        np.testing.assert_array_equal(attempts, [2])
+        np.testing.assert_array_equal(driver._retry_due, [0.35])

@@ -6,6 +6,11 @@ Every process must satisfy the open-loop generator contract:
 * identical streams for identical seeds (bit-exact),
 * disjoint streams for distinct stream names (distinct spawn keys),
 * nondecreasing arrival times.
+
+Every process is buffered, so ``take_through`` (a drain tick's
+arrivals at once) must take exactly what a ``next_arrival`` loop takes,
+and batched thinning must keep exactly what the one-arrival-at-a-time
+Lewis-Shedler walk keeps.
 """
 
 import numpy as np
@@ -20,7 +25,13 @@ from repro.traffic.arrivals import (
     PoissonProcess,
     drain_process,
 )
-from repro.traffic.shapes import ConstantShape, RampShape
+from repro.traffic.shapes import (
+    CompositeShape,
+    ConstantShape,
+    DiurnalShape,
+    FlashCrowdShape,
+    RampShape,
+)
 from repro.traffic.trace import RateTrace, TraceReplayProcess
 
 RATE = 40.0
@@ -206,3 +217,164 @@ class TestModulated:
         )
         drain_process(process, 10.0)
         assert process.next_arrival() is None
+
+
+def _scalar_ticks(process, edges):
+    """Per tick, the arrivals a ``next_arrival`` loop holding one
+    pending arrival takes (the reference for ``take_through``)."""
+    ticks = []
+    pending = process.next_arrival()
+    for edge in edges:
+        taken = []
+        while pending is not None and pending <= edge:
+            taken.append(pending)
+            pending = process.next_arrival()
+        ticks.append(np.asarray(taken, dtype=float))
+    return ticks, pending
+
+
+def _take_ticks(process, edges):
+    return [process.take_through(edge) for edge in edges]
+
+
+def _tick_kinds():
+    """Fresh-process factories for every process kind, on one seed."""
+
+    def replay(streams):
+        # A zero-rate interval, then exhaustion at t = 12 s.
+        trace = RateTrace([30.0, 0.0, 0.0, 45.0, 60.0, 5.0], interval_s=2.0)
+        return TraceReplayProcess(trace, streams.stream("r"))
+
+    def modulated_shared(streams):
+        shape = FlashCrowdShape(peak_time_s=12.0, rise_s=3.0, decay_s=5.0)
+        rng = streams.stream("traffic.arrivals")
+        base = PoissonProcess(RATE * shape.max_factor(), rng)
+        return ModulatedProcess(base, shape, rng)
+
+    def modulated_separate(streams):
+        shape = DiurnalShape(period_s=8.0, amplitude=0.9)
+        base = MMPPProcess(
+            (RATE, 4 * RATE), (2.0, 1.0), streams.stream("base")
+        )
+        return ModulatedProcess(base, shape, streams.stream("thin"))
+
+    def modulated_replay(streams):
+        rng = streams.stream("traffic.arrivals")
+        base = TraceReplayProcess(
+            RateTrace([50.0, 0.0, 80.0], interval_s=3.0), rng
+        )
+        return ModulatedProcess(base, RampShape(0.0, 9.0, 0.1, 1.0), rng)
+
+    factories = {kind: (lambda s, k=kind: _make(k, s)) for kind in KINDS}
+    factories.update(
+        replay=replay,
+        modulated_shared=modulated_shared,
+        modulated_separate=modulated_separate,
+        modulated_replay=modulated_replay,
+    )
+    return factories
+
+
+TICK_KINDS = _tick_kinds()
+
+
+class TestTakeThrough:
+    """``take_through`` on a tick grid equals the ``next_arrival`` loop."""
+
+    HORIZON_S = 20.0
+
+    def _edges(self, factory, seed):
+        """Half the edges on a 0.25 s grid, half on arrival times."""
+        grid = np.arange(0.25, self.HORIZON_S, 0.25)
+        arrivals = drain_process(factory(RandomStreams(seed=seed)), 20.0)
+        picks = np.random.default_rng(seed).choice(
+            arrivals, size=min(grid.size, arrivals.size), replace=False
+        )
+        return np.unique(np.concatenate((grid, picks))), picks
+
+    @pytest.mark.parametrize("kind", sorted(TICK_KINDS))
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matches_next_arrival_loop(self, kind, seed):
+        factory = TICK_KINDS[kind]
+        edges, picks = self._edges(factory, seed)
+        expected, pending = _scalar_ticks(
+            factory(RandomStreams(seed=seed)), edges
+        )
+        process = factory(RandomStreams(seed=seed))
+        got = _take_ticks(process, edges)
+        assert len(got) == len(expected)
+        for tick, (a, b) in enumerate(zip(got, expected)):
+            np.testing.assert_array_equal(a, b, err_msg=f"tick {tick}")
+        # A tick whose edge is an arrival time ends with that arrival.
+        assert picks.size > 0
+        for tick in np.flatnonzero(np.isin(edges, picks)):
+            assert got[tick][-1] == edges[tick]
+        # Both walks stop at the same next arrival.
+        assert process.next_arrival() == pending
+
+    def test_exhausted_replay_returns_empty(self):
+        factory = TICK_KINDS["replay"]
+        process = factory(RandomStreams(seed=1))
+        everything = process.take_through(100.0)
+        assert everything.size > 0
+        assert everything.max() <= 12.0
+        assert process.take_through(200.0).size == 0
+        assert process.next_arrival() is None
+
+    def test_mixed_consumers_share_one_cursor(self):
+        a = _make("poisson", RandomStreams(seed=4))
+        b = _make("poisson", RandomStreams(seed=4))
+        first = a.next_arrival()
+        rest = a.take_through(30.0)
+        np.testing.assert_array_equal(
+            np.concatenate(([first], rest)), drain_process(b, 30.0)
+        )
+
+
+def _scalar_thinning(base, shape, rng, horizon_s):
+    """The one-arrival-at-a-time Lewis-Shedler walk (reference)."""
+    bound = shape.max_factor()
+    kept = []
+    while True:
+        t = base.next_arrival()
+        if t is None or t > horizon_s:
+            return np.asarray(kept, dtype=float)
+        if rng.random() * bound < shape.factor(t):
+            kept.append(t)
+
+
+THINNING_SHAPES = {
+    "flash_crowd": FlashCrowdShape(
+        peak_time_s=40.0, magnitude=20.0, rise_s=8.0, decay_s=25.0
+    ),
+    "diurnal": DiurnalShape(period_s=30.0, amplitude=0.8, phase_s=3.0),
+    "composite": CompositeShape((
+        DiurnalShape(period_s=25.0, amplitude=0.5),
+        FlashCrowdShape(peak_time_s=30.0, magnitude=6.0),
+    )),
+}
+
+
+class TestBatchedThinning:
+    """Batched thinning keeps exactly the arrivals the scalar walk keeps."""
+
+    @pytest.mark.parametrize("shape", sorted(THINNING_SHAPES))
+    @pytest.mark.parametrize("base_kind", ["poisson", "mmpp", "bmodel"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_equals_scalar_walk(self, shape, base_kind, shared):
+        envelope = THINNING_SHAPES[shape]
+        horizon = 100.0
+
+        def build(streams):
+            rng = streams.stream("traffic.arrivals")
+            thin = rng if shared else streams.stream("thin")
+            base = _make(base_kind, streams, "traffic.arrivals")
+            return base, thin
+
+        base, thin = build(RandomStreams(seed=31))
+        expected = _scalar_thinning(base, envelope, thin, horizon)
+        base, thin = build(RandomStreams(seed=31))
+        process = ModulatedProcess(base, envelope, thin)
+        got = process.take_through(horizon)
+        assert expected.size > 100
+        np.testing.assert_array_equal(got, expected)
