@@ -24,6 +24,11 @@ Two configurations:
   set — the number behind PERFORMANCE.md's "<= 5% at 1% sampling"
   invariant.
 
+Each test makes one untimed warm-up run (imports, calibration, cache
+fills), then times three alternating plain/variant pairs and asserts on
+the ratio of the two sides' fastest runs, the least host-disturbed
+ones; all six times are recorded in ``extra_info``.
+
 Quick mode: set ``REPRO_BENCH_QUICK=1`` to shrink horizons so the file
 runs in a few seconds (the CI smoke configuration).
 """
@@ -44,6 +49,34 @@ CLIENTS = 500 if QUICK else 5_000
 HORIZON_S = 30.0 if QUICK else 240.0
 #: Busy-stream drill horizon.
 DRILL_S = 90.0 if QUICK else 240.0
+#: Alternating plain/variant pairs timed per test.
+PAIRS = 3
+
+
+def _paired_walls(plain, variant):
+    """Warm up on ``plain`` untimed, then time ``PAIRS`` alternating pairs.
+
+    Returns each side's last result and its wall times, in run order.
+    """
+    plain()
+    sides = (plain, variant)
+    results = [None, None]
+    walls = ([], [])
+    for pair in range(PAIRS):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            results[side] = sides[side]()
+            walls[side].append(time.perf_counter() - start)
+    return results[0], results[1], walls[0], walls[1]
+
+
+def _record(benchmark, plain_s, variant_s, variant_key):
+    """Store both sides' times; return the overhead of the fastest runs."""
+    overhead = min(variant_s) / min(plain_s) - 1.0
+    benchmark.extra_info["overhead_fraction"] = round(overhead, 4)
+    benchmark.extra_info["plain_s"] = [round(wall, 3) for wall in plain_s]
+    benchmark.extra_info[variant_key] = [round(wall, 3) for wall in variant_s]
+    return overhead
 
 
 def test_observer_overhead_million_events(benchmark):
@@ -52,32 +85,20 @@ def test_observer_overhead_million_events(benchmark):
         "virtualized", "browsing", duration_s=HORIZON_S, seed=7,
         clients=CLIENTS,
     )
-    # Warm the calibration cache so the measurement covers the run
-    # loop, not one-time setup.
-    run_scenario(scenario("virtualized", "browsing", duration_s=4.0, seed=1))
-
-    def run():
-        start = time.perf_counter()
-        plain = run_scenario(sc)
-        wall_plain = time.perf_counter() - start
-        start = time.perf_counter()
-        observed = run_scenario(sc, observe=True)
-        wall_observed = time.perf_counter() - start
-        return plain, observed, wall_plain, wall_observed
-
-    plain, observed, wall_plain, wall_observed = benchmark.pedantic(
-        run, rounds=1, iterations=1
+    plain, observed, plain_s, observed_s = benchmark.pedantic(
+        _paired_walls,
+        args=(lambda: run_scenario(sc), lambda: run_scenario(sc, observe=True)),
+        rounds=1,
+        iterations=1,
     )
-    overhead = wall_observed / wall_plain - 1.0
+    overhead = _record(benchmark, plain_s, observed_s, "observed_s")
     benchmark.extra_info["events_fired"] = observed.events_fired
     benchmark.extra_info["annotations"] = len(observed.annotations)
-    benchmark.extra_info["overhead_fraction"] = round(overhead, 4)
-    benchmark.extra_info["plain_s"] = round(wall_plain, 3)
-    benchmark.extra_info["observed_s"] = round(wall_observed, 3)
     print(
         f"\nobserver on {observed.events_fired:,} events: "
-        f"{wall_plain:.2f}s plain -> {wall_observed:.2f}s observed "
-        f"({overhead:+.1%}, {len(observed.annotations)} annotations)"
+        f"{min(plain_s):.2f}s plain -> {min(observed_s):.2f}s observed "
+        f"({overhead:+.1%}, best of {PAIRS} alternating pairs, "
+        f"{len(observed.annotations)} annotations)"
     )
     if not QUICK:
         assert observed.events_fired > 1_000_000
@@ -98,31 +119,20 @@ def test_tracing_overhead_million_events(benchmark):
         clients=CLIENTS,
     )
     traced_sc = replace(sc, trace_sample=0.01)
-    run_scenario(scenario("virtualized", "browsing", duration_s=4.0, seed=1))
-
-    def run():
-        start = time.perf_counter()
-        plain = run_scenario(sc)
-        wall_plain = time.perf_counter() - start
-        start = time.perf_counter()
-        traced = run_scenario(traced_sc)
-        wall_traced = time.perf_counter() - start
-        return plain, traced, wall_plain, wall_traced
-
-    plain, traced, wall_plain, wall_traced = benchmark.pedantic(
-        run, rounds=1, iterations=1
+    plain, traced, plain_s, traced_s = benchmark.pedantic(
+        _paired_walls,
+        args=(lambda: run_scenario(sc), lambda: run_scenario(traced_sc)),
+        rounds=1,
+        iterations=1,
     )
-    overhead = wall_traced / wall_plain - 1.0
+    overhead = _record(benchmark, plain_s, traced_s, "traced_s")
     benchmark.extra_info["events_fired"] = traced.events_fired
     benchmark.extra_info["requests_traced"] = len(traced.request_traces)
-    benchmark.extra_info["overhead_fraction"] = round(overhead, 4)
-    benchmark.extra_info["plain_s"] = round(wall_plain, 3)
-    benchmark.extra_info["traced_s"] = round(wall_traced, 3)
     print(
         f"\ntracing 1% of {traced.requests_completed:,} requests "
         f"({len(traced.request_traces)} span trees): "
-        f"{wall_plain:.2f}s plain -> {wall_traced:.2f}s traced "
-        f"({overhead:+.1%})"
+        f"{min(plain_s):.2f}s plain -> {min(traced_s):.2f}s traced "
+        f"({overhead:+.1%}, best of {PAIRS} alternating pairs)"
     )
     # Tracing never perturbs the physics — same seed, same requests.
     assert plain.requests_completed == traced.requests_completed
@@ -137,25 +147,18 @@ def test_observer_overhead_busy_stream(benchmark):
     """Recorder cost when annotations actually flow (crash drill)."""
     sc = detect_and_evacuate_scenario(duration_s=DRILL_S, clients=400)
 
-    def run():
-        start = time.perf_counter()
-        run_scenario(sc)
-        wall_plain = time.perf_counter() - start
-        start = time.perf_counter()
-        observed = run_scenario(sc, observe=True)
-        wall_observed = time.perf_counter() - start
-        return observed, wall_plain, wall_observed
-
-    observed, wall_plain, wall_observed = benchmark.pedantic(
-        run, rounds=1, iterations=1
+    _, observed, plain_s, observed_s = benchmark.pedantic(
+        _paired_walls,
+        args=(lambda: run_scenario(sc), lambda: run_scenario(sc, observe=True)),
+        rounds=1,
+        iterations=1,
     )
-    overhead = wall_observed / wall_plain - 1.0
+    overhead = _record(benchmark, plain_s, observed_s, "observed_s")
     benchmark.extra_info["annotations"] = len(observed.annotations)
-    benchmark.extra_info["overhead_fraction"] = round(overhead, 4)
     print(
         f"\nbusy stream ({len(observed.annotations)} annotations): "
-        f"{wall_plain:.2f}s plain -> {wall_observed:.2f}s observed "
-        f"({overhead:+.1%})"
+        f"{min(plain_s):.2f}s plain -> {min(observed_s):.2f}s observed "
+        f"({overhead:+.1%}, best of {PAIRS} alternating pairs)"
     )
     assert len(observed.annotations) > 0
     assert overhead < 0.15
