@@ -14,6 +14,7 @@ Typical use::
 from __future__ import annotations
 
 from heapq import heappop, heappush
+import math
 from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError, SimulationError
@@ -36,6 +37,14 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._events_fired = 0
+        #: Priority of the event being fired.  Before the first event
+        #: it is ``-inf`` (nothing due at ``now`` has fired); once
+        #: :meth:`run_until` has fired every event due by its end time
+        #: it is ``inf``.  A process woken at ``now`` reads it to tell
+        #: whether its own tick due at ``now`` would already have fired
+        #: (see :meth:`PeriodicProcess.wake
+        #: <repro.sim.process.PeriodicProcess.wake>`).
+        self.firing_priority = -math.inf
 
     # -- clock ---------------------------------------------------------
 
@@ -124,6 +133,7 @@ class Simulator:
             )
         self.now = time
         self._events_fired += 1
+        self.firing_priority = entry[1]
         entry[3](*entry[4])
         return True
 
@@ -142,7 +152,8 @@ class Simulator:
         self._stopped = False
         # Hot path: the pop is inlined (mirroring EventQueue._head) and
         # the fired counter is kept in a local synced on exit, so each
-        # event costs one heap pop, one edge compare plus the callback.
+        # event costs one heap pop, one edge compare, the priority store
+        # plus the callback.
         # The edge is re-read per event because a callback may open an
         # earlier bucket; the heap list never changes identity.
         queue = self._queue
@@ -174,12 +185,14 @@ class Simulator:
                     )
                 self.now = time
                 fired += 1
+                self.firing_priority = entry[1]
                 fn(*entry[4])
         finally:
             self._events_fired = fired
             self._running = False
         if not self._stopped:
             self.now = end_time
+            self.firing_priority = math.inf
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the queue drains or ``max_events`` were fired."""
@@ -205,3 +218,4 @@ class Simulator:
         self.now = float(start_time)
         self._events_fired = 0
         self._stopped = False
+        self.firing_priority = -math.inf

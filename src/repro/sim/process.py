@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 
@@ -21,6 +21,12 @@ class PeriodicProcess:
     aligned to ``start + k * interval`` so long-running samplers do not
     drift (each tick is scheduled from the nominal previous tick time,
     not from whenever the callback finished).
+
+    A callback whose ticks would do nothing until some outside event
+    may put the process to sleep (:meth:`sleep`); the owner of that
+    event calls :meth:`wake`, and the process resumes on the same grid
+    of accumulated ticks, as if it had fired all along.  Only ticks
+    that could see the outside event cost an event.
     """
 
     def __init__(
@@ -42,6 +48,7 @@ class PeriodicProcess:
         self._next_tick = sim.now + interval if start is None else start
         self._event: Optional[Event] = None
         self._running = False
+        self._asleep = False
         self.ticks = 0
 
     @property
@@ -53,15 +60,73 @@ class PeriodicProcess:
         if self._running:
             return self
         self._running = True
+        self._asleep = False
         self._arm()
         return self
 
     def stop(self) -> None:
-        """Disarm the process; a pending tick is cancelled."""
+        """Disarm the process; a pending tick is cancelled.
+
+        A sleeping process stops too: a later :meth:`wake` does nothing.
+        """
         self._running = False
         if self._event is not None:
             self.sim.cancel(self._event)
             self._event = None
+
+    def sleep(self) -> None:
+        """Leave the process disarmed after the current tick.
+
+        Called from the callback.  The process fires no event until
+        :meth:`wake`; the caller guarantees that every tick it skips
+        would have done nothing.
+        """
+        if self._event is not None:
+            raise SchedulingError(
+                f"{self.name}: sleep() outside the process's callback"
+            )
+        self._asleep = True
+
+    def wake(self) -> None:
+        """Re-arm a sleeping process at its next grid tick.
+
+        Does nothing unless the process is asleep and running.  The grid
+        continues from the tick after the last one fired by repeated
+        ``tick += interval``, exactly the accumulation :meth:`_fire`
+        performs, so a woken process fires at the same times, bit for
+        bit, as one that never slept.  Ticks before ``now`` are skipped:
+        they would have fired before the waking event, and done nothing.
+
+        A tick equal to ``now`` is a tie with the waking event, decided
+        as the event queue would have decided it: the tick would fire
+        after a waking event of lower priority (it is armed) and has
+        already fired before one of higher priority (it is skipped).
+        At equal priority the order rests on the sequence number of an
+        event that was never scheduled, so the tie is refused.
+
+        Raises:
+            SchedulingError: on a tie at the process's own priority.
+        """
+        if not self._asleep or not self._running:
+            return
+        sim = self.sim
+        now = sim.now
+        interval = self.interval
+        tick = self._next_tick
+        while tick < now:
+            tick += interval
+        if tick == now:
+            waker = sim.firing_priority
+            if waker == self.priority:
+                raise SchedulingError(
+                    f"{self.name}: woken at its own tick t={now!r} by an "
+                    f"event of its own priority {waker}"
+                )
+            if waker > self.priority:
+                tick += interval
+        self._asleep = False
+        self._next_tick = tick
+        self._event = sim.schedule_at(tick, self._fire, priority=self.priority)
 
     def _arm(self) -> None:
         if self._next_tick < self.sim.now:
@@ -78,5 +143,5 @@ class PeriodicProcess:
         self._next_tick = tick_time + self.interval
         self.ticks += 1
         self.callback(tick_time)
-        if self._running:
+        if self._running and self._event is None and not self._asleep:
             self._arm()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import List
+from typing import Callable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.units import GB
@@ -24,9 +24,15 @@ class Domain:
         weight: credit-scheduler weight (proportional share).
         cap_cores: hard cap in physical cores (0 disables the cap, like
             Xen's ``cap=0``).
-        active_workers: a demand gauge maintained by the queueing stations
-            running inside the domain; the scheduler reads it to know how
-            many cores the domain could use right now.
+        on_wake: called with no argument whenever the worker gauge rises
+            from zero (or below) to above zero; the hypervisor hosting
+            the domain installs it to wake a sleeping scheduler epoch.
+
+    The worker gauge (:attr:`active_workers`) is the domain's demand
+    signal: the scheduler reads it to know how many cores the domain
+    could use right now.  Only this class writes it -- through
+    :meth:`worker_started`, :meth:`worker_finished` or the property's
+    setter -- so every rise from idle reaches ``on_wake``.
     """
 
     def __init__(
@@ -52,11 +58,30 @@ class Domain:
         self.memory_bytes = float(memory_bytes)
         self.weight = float(weight)
         self.cap_cores = float(cap_cores)
-        self.active_workers = 0
+        self._active = 0
+        self.on_wake: Optional[Callable[[], None]] = None
         #: Ledger owner key used by hardware accounting.  A plain
         #: attribute (name and kind are fixed at construction) because
         #: every I/O and CPU charge reads it.
         self.owner = "dom0" if kind is DomainKind.DOM0 else f"vm:{name}"
+
+    @property
+    def active_workers(self) -> int:
+        """Workers runnable in the domain right now (the demand gauge).
+
+        Maintained by the queueing stations running inside the domain
+        (:meth:`worker_started` / :meth:`worker_finished`), published
+        wholesale by the batched engine's drains, and raised by faults
+        that park work on dom0.
+        """
+        return self._active
+
+    @active_workers.setter
+    def active_workers(self, count: int) -> None:
+        was = self._active
+        self._active = count
+        if was <= 0 < count and self.on_wake is not None:
+            self.on_wake()
 
     @property
     def online_vcpus(self) -> int:
@@ -84,22 +109,26 @@ class Domain:
         than 2 cores) and by its current active workers.  An idle domain
         returns before counting its VCPUs.
         """
-        active = self.active_workers
+        active = self._active
         if active <= 0:
             return 0.0
         return float(min(self.online_vcpus, active))
 
     def worker_started(self) -> None:
         """A station began serving a job inside this domain."""
-        self.active_workers += 1
+        active = self._active
+        self._active = active + 1
+        if active <= 0 and self.on_wake is not None:
+            self.on_wake()
 
     def worker_finished(self) -> None:
         """A station finished serving a job inside this domain."""
-        if self.active_workers <= 0:
+        active = self._active
+        if active <= 0:
             raise ConfigurationError(
                 f"worker_finished with no active workers in {self.name!r}"
             )
-        self.active_workers -= 1
+        self._active = active - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,7 +3,8 @@
 One :class:`Hypervisor` runs per virtualized physical server.  It owns
 
 * the domain table (dom0 is created automatically),
-* the credit scheduler, re-run every epoch by a periodic process,
+* the credit scheduler, re-run every epoch by a periodic process that
+  sleeps while every domain is idle (see :meth:`Hypervisor._run_epoch`),
 * the block/net backends in dom0,
 * dom0's own housekeeping (base CPU burn, memory model, log writes),
 
@@ -65,7 +66,13 @@ class DomainState:
 
 
 class Hypervisor:
-    """Xen-like hypervisor bound to one physical server."""
+    """Xen-like hypervisor bound to one physical server.
+
+    The credit-scheduler epoch runs every ``epoch_s`` while any domain
+    on the host has runnable workers and sleeps while none has: every
+    domain the hypervisor hosts, dom0 included, carries the epoch
+    process's ``wake`` as its ``on_wake`` hook.
+    """
 
     def __init__(
         self,
@@ -123,6 +130,7 @@ class Hypervisor:
         self._epoch_process = PeriodicProcess(
             sim, epoch_s, self._run_epoch, name="credit-epoch"
         ).start()
+        self.dom0.on_wake = self._epoch_process.wake
         self._housekeeping = PeriodicProcess(
             sim, HOUSEKEEPING_INTERVAL_S, self._run_housekeeping,
             name="dom0-housekeeping",
@@ -150,6 +158,7 @@ class Hypervisor:
             weight=weight,
             cap_cores=cap_cores,
         )
+        domain.on_wake = self._epoch_process.wake
         self._domains[name] = domain
         self._bill_marks[name] = self.sim.now
         return domain
@@ -186,6 +195,7 @@ class Hypervisor:
             net_tx_bytes=self.net_backend.vm_bytes_transmitted(owner),
         )
         self._accrue_billing(domain)
+        domain.on_wake = None
         del self._domains[name]
         del self._bill_marks[name]
         self.server.memory.set_usage(owner, 0.0)
@@ -198,13 +208,15 @@ class Hypervisor:
         Counter baselines are seeded (not zeroed) so the monitoring
         probes — which first-difference monotonic counters — observe a
         continuous series across the migration, like sysstat inside the
-        guest would.
+        guest would.  A guest that arrives with runnable workers wakes
+        a sleeping scheduler epoch at once.
         """
         domain = state.domain
         if domain.name in self._domains:
             raise ConfigurationError(
                 f"duplicate domain name {domain.name!r}"
             )
+        domain.on_wake = self._epoch_process.wake
         self._domains[domain.name] = domain
         self._bill_marks[domain.name] = self.sim.now
         owner = domain.owner
@@ -219,6 +231,8 @@ class Hypervisor:
             owner, state.net_rx_bytes, state.net_tx_bytes
         )
         self.set_vm_memory(domain, state.mem_used_bytes)
+        if domain.active_workers > 0:
+            self._epoch_process.wake()
         return domain
 
     def domains(self):
@@ -458,6 +472,15 @@ class Hypervisor:
     # -- periodic work ----------------------------------------------------------
 
     def _run_epoch(self, tick_time: float) -> None:
+        """Re-run the credit scheduler; sleep once every domain is idle.
+
+        An all-idle decision grants every domain a speed fraction of
+        1.0, charges dom0 nothing and accrues no ready time, whatever
+        the caps, weights, cores or domain set.  Every epoch until a
+        worker gauge on this host rises again would repeat it, so the
+        epoch process sleeps after it and each domain's ``on_wake``
+        resumes it on the same grid.
+        """
         decision = self.scheduler.allocate(self._domains.values())
         runnable = decision.runnable
         if runnable:
@@ -474,6 +497,8 @@ class Hypervisor:
                     if demand <= 0:
                         continue
                     ready[name] = ready.get(name, 0.0) + accrual * demand
+        else:
+            self._epoch_process.sleep()
 
     def _run_housekeeping(self, tick_time: float) -> None:
         self.server.cpu.charge(
@@ -486,7 +511,11 @@ class Hypervisor:
         self._update_dom0_memory()
 
     def shutdown(self) -> None:
-        """Disarm periodic processes (end of an experiment)."""
+        """Disarm periodic processes (end of an experiment).
+
+        A sleeping epoch process stops too, so no later gauge rise
+        re-arms it.
+        """
         self._epoch_process.stop()
         self._housekeeping.stop()
         self.block_backend.stop()

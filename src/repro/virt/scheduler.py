@@ -16,7 +16,12 @@ saturation — allocations are almost always demand-limited anyway).
 The allocation is a pure function of its input, and consolidated
 servers mostly run idle guests whose input does not change between
 epochs, so an epoch that sees the previous epoch's exact input reuses
-the previous decision.
+the previous decision.  A host whose every domain is idle skips even
+that: an all-idle decision grants every domain a speed fraction of 1.0
+whatever its caps, weights, cores or domain set, so the hypervisor
+stops calling :meth:`CreditScheduler.allocate` until a worker gauge
+rises (see :meth:`repro.virt.hypervisor.Hypervisor._run_epoch`), and
+:attr:`CreditScheduler.epochs` counts only the allocations evaluated.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ class CreditScheduler:
             raise ConfigurationError("total_cores must be positive")
         self.total_cores = float(total_cores)
         self.last_decision = SchedulerDecision(total_cores=self.total_cores)
+        #: Allocations evaluated (epochs a sleeping host skips are not).
         self.epochs = 0
         # name -> speed fraction of the last epoch; fractions only change
         # at epoch boundaries but are read at every service start.
@@ -89,9 +95,13 @@ class CreditScheduler:
         (name, demand, cap, weight) in iteration order.  When all of it
         equals the previous epoch's, the previous decision is returned.
         The input is read afresh on every call rather than tracked by a
-        dirty flag, because worker gauges, caps and ``total_cores`` are
-        written directly by the request engines, fault injectors and
-        live migration.
+        dirty flag, because caps, weights and ``total_cores`` are
+        written directly by controllers, fault injectors and live
+        migration.  Worker gauges are written only through
+        :class:`~repro.virt.domain.Domain`, so every rise from idle
+        reaches the hypervisor; that is what lets a host whose gauges
+        are all idle skip this call (an all-idle decision depends on
+        the gauges alone).
         """
         total_cores = self.total_cores
         inputs = [

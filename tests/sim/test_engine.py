@@ -1,5 +1,7 @@
 """Unit tests for the simulation engine."""
 
+import math
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -128,3 +130,21 @@ class TestExecution:
 
     def test_step_on_empty_queue_returns_false(self, sim):
         assert sim.step() is False
+
+    def test_firing_priority_is_the_fired_events(self, sim):
+        seen = []
+
+        def record():
+            seen.append(sim.firing_priority)
+
+        assert sim.firing_priority == -math.inf
+        sim.schedule(1.0, record, priority=7)
+        sim.schedule(1.0, record, priority=3)
+        sim.schedule(2.0, record)
+        sim.schedule(6.0, record, priority=42)
+        sim.run_until(5.0)
+        assert seen == [3, 7, 10]
+        # Every event due by the horizon has fired.
+        assert sim.firing_priority == math.inf
+        sim.step()
+        assert seen[-1] == 42 == sim.firing_priority

@@ -64,6 +64,29 @@ class TestDomain:
         with pytest.raises(ConfigurationError):
             Domain("d").worker_finished()
 
+    def test_on_wake_called_when_the_gauge_leaves_idle(self):
+        domain = Domain("d")
+        wakes = []
+        domain.on_wake = lambda: wakes.append(domain.active_workers)
+        domain.worker_started()
+        domain.worker_started()
+        domain.worker_finished()
+        domain.worker_finished()
+        assert wakes == [1]
+        domain.active_workers = 3
+        domain.active_workers += 2
+        domain.active_workers = 0
+        domain.active_workers = 0
+        assert wakes == [1, 3]
+        domain.worker_started()
+        assert wakes == [1, 3, 1]
+
+    def test_gauge_without_hook(self):
+        domain = Domain("d")
+        domain.active_workers = 4
+        domain.worker_started()
+        assert domain.active_workers == 5
+
     @pytest.mark.parametrize(
         "kwargs",
         [

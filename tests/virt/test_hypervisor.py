@@ -132,5 +132,81 @@ class TestPeriodicWork:
         sim = Simulator()
         server = PhysicalServer("s")
         hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor.create_domain("web-vm").active_workers = 1
         sim.run_until(1.0)
         assert hypervisor.scheduler.epochs == 10
+
+    def test_idle_host_evaluates_one_epoch_then_sleeps(self):
+        sim = Simulator()
+        server = PhysicalServer("s")
+        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor.create_domain("web-vm")
+        sim.run_until(0.1)
+        assert hypervisor.scheduler.epochs == 1
+        fired = sim.events_fired
+        # Housekeeping and the block flush are next due at 1.0 s.
+        sim.run_until(0.95)
+        assert sim.events_fired == fired
+        sim.run_until(10.0)
+        assert hypervisor.scheduler.epochs == 1
+
+    def test_gauge_rise_wakes_the_epoch_on_its_grid(self):
+        sim = Simulator()
+        server = PhysicalServer("s")
+        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        domain = hypervisor.create_domain("web-vm")
+        sim.schedule_at(2.05, domain.worker_started)
+        sim.run_until(2.55)
+        # One idle epoch, then ticks near 2.1, 2.2, 2.3, 2.4 and 2.5.
+        assert hypervisor.scheduler.epochs == 6
+        sim.schedule_at(2.58, domain.worker_finished)
+        sim.run_until(5.0)
+        # The tick near 2.6 sees the host idle again, and sleeps.
+        assert hypervisor.scheduler.epochs == 7
+        assert hypervisor.scheduler.speed_fraction("web-vm") == 1.0
+
+    def test_busy_domain_attached_wakes_a_sleeping_host(self):
+        sim = Simulator()
+        source = Hypervisor(sim, PhysicalServer("a"), epoch_s=0.1)
+        dest = Hypervisor(sim, PhysicalServer("b"), epoch_s=0.1)
+        domain = source.create_domain("web-vm")
+        domain.active_workers = 1
+        sim.run_until(1.05)
+        assert dest.scheduler.epochs == 1
+        state = source.detach_domain("web-vm")
+        assert domain.on_wake is None
+        dest.attach_domain(state)
+        sim.run_until(1.55)
+        assert dest.scheduler.epochs == 6
+        # The guest's gauge now wakes the destination, not the source.
+        domain.active_workers = 0
+        sim.run_until(3.05)
+        epochs = (source.scheduler.epochs, dest.scheduler.epochs)
+        domain.active_workers = 2
+        sim.run_until(3.25)
+        assert source.scheduler.epochs == epochs[0]
+        assert dest.scheduler.epochs == epochs[1] + 2
+
+    def test_dom0_gauge_wakes_the_epoch(self):
+        sim = Simulator()
+        server = PhysicalServer("s")
+        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+
+        def park():
+            hypervisor.dom0.active_workers += 8
+
+        sim.schedule_at(1.05, park)
+        sim.run_until(1.55)
+        assert hypervisor.scheduler.epochs == 6
+
+    def test_shutdown_stops_a_sleeping_epoch(self):
+        sim = Simulator()
+        server = PhysicalServer("s")
+        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        domain = hypervisor.create_domain("web-vm")
+        sim.run_until(1.0)
+        hypervisor.shutdown()
+        domain.worker_started()
+        sim.run_until(5.0)
+        assert hypervisor.scheduler.epochs == 1
+        assert sim.pending_events == 0
