@@ -1,4 +1,4 @@
-"""P6 — sharded fleet scaling (events/s and wall-clock vs. shards).
+"""P6 — sharded fleet scaling (events/s, requests/s, wall-clock vs. shards).
 
 The shard coordinator's pitch is *scale without drift*: partitioning a
 fleet over worker processes must change wall-clock only, never the
@@ -6,8 +6,12 @@ physics.  This bench runs the datacenter fleet (25 pods x 4 servers x
 40 VMs = 100 servers / 1000 VMs; quick mode shrinks it to 4 pods) at
 1/2/4 shards and reports:
 
-* **events/s and wall-clock per shard count** — the PERFORMANCE.md
-  scaling table row;
+* **events/s, requests/s and wall-clock per shard count** — the
+  PERFORMANCE.md scaling table row.  Both rates are per host second.
+  Events/s compares shard counts of one version only: an idle host's
+  scheduler epoch fires no event, so a version that skips more of
+  them fires fewer events for the same simulated work.  Requests/s
+  compares versions;
 * **merged-fingerprint equality** — the determinism acceptance check,
   asserted on every pair of shard counts;
 * **per-shard load imbalance** — events executed by the busiest shard
@@ -61,6 +65,7 @@ def test_events_per_second_vs_shard_count(benchmark):
                 "wall_s": wall,
                 "events": result.events_fired,
                 "events_per_s": result.events_fired / wall,
+                "requests_per_s": result.requests_completed / wall,
                 "sha": result.merged_sha256,
                 "imbalance": _shard_imbalance(result, shards),
             }
@@ -70,6 +75,9 @@ def test_events_per_second_vs_shard_count(benchmark):
     for shards, row in rows.items():
         benchmark.extra_info[f"events_per_s_x{shards}"] = round(
             row["events_per_s"]
+        )
+        benchmark.extra_info[f"requests_per_s_x{shards}"] = round(
+            row["requests_per_s"]
         )
         benchmark.extra_info[f"wall_s_x{shards}"] = round(row["wall_s"], 2)
         benchmark.extra_info[f"imbalance_x{shards}"] = round(
@@ -83,6 +91,7 @@ def test_events_per_second_vs_shard_count(benchmark):
         print(
             f"  {shards} shard(s): {row['wall_s']:6.1f}s wall, "
             f"{row['events_per_s']:>9,.0f} events/s, "
+            f"{row['requests_per_s']:>7,.0f} requests/s, "
             f"imbalance {row['imbalance']:.2f}x, "
             f"sha {row['sha'][:16]}"
         )
