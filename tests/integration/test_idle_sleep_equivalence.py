@@ -69,10 +69,7 @@ def _run(spec):
         "requests": result.requests_completed,
         "billing": testbed.billing_report(),
         "cpu_ready": {
-            name: {
-                domain: hypervisor.cpu_ready_seconds(domain)
-                for domain in hypervisor.cpu_ready_report()
-            }
+            name: hypervisor.cpu_ready_report()
             for name, hypervisor in hypervisors.items()
         },
         "control": result.control_reports,
