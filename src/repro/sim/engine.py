@@ -150,10 +150,10 @@ class Simulator:
             )
         self._running = True
         self._stopped = False
-        # Hot path: the pop is inlined (mirroring EventQueue._head) and
-        # the fired counter is kept in a local synced on exit, so each
-        # event costs one heap pop, one edge compare, the priority store
-        # plus the callback.
+        # Hot path: the pop is inlined (mirroring EventQueue._head), the
+        # head entry is unpacked once, and the fired counter is kept in
+        # a local synced on exit, so each event costs one heap pop, one
+        # edge compare, the priority store plus the callback.
         # The edge is re-read per event because a callback may open an
         # earlier bucket; the heap list never changes identity.
         queue = self._queue
@@ -162,15 +162,13 @@ class Simulator:
         try:
             while not self._stopped:
                 if heap:
-                    entry = heap[0]
-                    time = entry[0]
+                    time, priority, _, fn, args = heap[0]
                     if time >= queue._next_edge:
                         queue._migrate()
                         continue
                     if time > end_time:
                         break
                     heappop(heap)
-                    fn = entry[3]
                     if fn is None:
                         queue._dead -= 1
                         continue
@@ -185,8 +183,8 @@ class Simulator:
                     )
                 self.now = time
                 fired += 1
-                self.firing_priority = entry[1]
-                fn(*entry[4])
+                self.firing_priority = priority
+                fn(*args)
         finally:
             self._events_fired = fired
             self._running = False
