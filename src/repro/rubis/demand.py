@@ -16,6 +16,7 @@ one class is what makes the calibration exact by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import exp
 from typing import Optional
 
 import numpy as np
@@ -114,9 +115,18 @@ class DemandSampler:
 
         The deterministic bases are precomputed per interaction (the
         scaling is immutable), so a draw costs only the noise factors
-        and the buffer-pool access.  The draw order matches the original
-        per-field formulation exactly, keeping the noise stream — and
-        therefore every trace — bit-identical.
+        and the buffer-pool access: three generator calls, in this
+        order, the response noise, the buffer-pool binomial, then the
+        web, db, write, log and request noise as one block of standard
+        normals.  Each noise factor is ``exp(mu + sigma * z)``, which is
+        exactly what ``Generator.lognormal(mu, sigma)`` computes from
+        the one standard normal it consumes, so the stream and every
+        trace are bit-identical to one lognormal call per factor.
+        ``math.exp`` is the same libm ``exp`` numpy calls; ``np.exp``
+        is not, and can differ in the last bit.  The identity also needs
+        numpy to compute ``mu + sigma * z`` without a fused multiply-add,
+        as its x86-64 builds do (``tests/rubis/test_demand.py`` checks
+        it against one lognormal call per factor).
         """
         profile = self._profiles.get(interaction_name)
         if profile is None:
@@ -126,31 +136,34 @@ class DemandSampler:
          query_bytes, result_bytes, writes, demand_params, log_params,
          req_params) = profile
         rng = self.rng
-        lognormal = rng.lognormal
-        # Draw order mirrors the original per-field formulation exactly.
-        response_noise = (
-            float(lognormal(response_params[0], response_params[1]))
-            if response_params is not None else 1.0
-        )
-        response_bytes = response_base * response_noise
+        normal = rng.standard_normal
+        if response_params is not None:
+            mu, sigma = response_params
+            response_bytes = response_base * exp(mu + sigma * normal())
+        else:
+            response_bytes = response_base
         db_read = self.buffer_pool.access(rng, rows_touched, self._row_bytes)
         if demand_params is not None:
             mu, sigma = demand_params
-            web_noise = float(lognormal(mu, sigma))
-            db_noise = float(lognormal(mu, sigma))
-            write_noise = float(lognormal(mu, sigma))
+            z_web, z_db, z_write, z_log, z_req = normal(5).tolist()
+            web_cycles = web_base * exp(mu + sigma * z_web)
+            db_cycles = db_base * exp(mu + sigma * z_db)
+            db_write_bytes = db_write_base * exp(mu + sigma * z_write)
         else:
-            web_noise = db_noise = write_noise = 1.0
+            web_cycles, db_cycles, db_write_bytes = (
+                web_base, db_base, db_write_base
+            )
+            z_log, z_req = normal(2).tolist()
         # Positional construction in ResourceDemand field order (kwarg
         # binding on an 11-field dataclass showed up on profiles).
         return ResourceDemand(
-            web_base * web_noise,
-            db_base * db_noise,
+            web_cycles,
+            db_cycles,
             db_queries,
             db_read,
-            db_write_base * write_noise,
-            web_log_base * float(lognormal(log_params[0], log_params[1])),
-            request_base * float(lognormal(req_params[0], req_params[1])),
+            db_write_bytes,
+            web_log_base * exp(log_params[0] + log_params[1] * z_log),
+            request_base * exp(req_params[0] + req_params[1] * z_req),
             response_bytes,
             query_bytes,
             result_bytes,
@@ -158,13 +171,17 @@ class DemandSampler:
         )
 
     def _lognormal_params(self, cv: float) -> Optional[tuple]:
-        """(mu, sigma) of the unit-mean lognormal for ``cv`` (None if 0)."""
+        """(mu, sigma) of the unit-mean lognormal for ``cv`` (None if 0).
+
+        Python floats, so a noise factor's ``mu + sigma * z`` is plain
+        double arithmetic.
+        """
         if cv <= 0:
             return None
         params = self._noise_params.get(cv)
         if params is None:
             sigma2 = np.log1p(cv * cv)
-            params = (-sigma2 / 2.0, np.sqrt(sigma2))
+            params = (float(-sigma2 / 2.0), float(np.sqrt(sigma2)))
             self._noise_params[cv] = params
         return params
 
@@ -190,18 +207,6 @@ class DemandSampler:
         )
         self._profiles[interaction_name] = profile
         return profile
-
-    def _noise(self, cv: Optional[float] = None) -> float:
-        """Unit-mean lognormal factor for ``cv`` (1.0 when cv <= 0).
-
-        The hot path draws through the precomputed profile parameters
-        directly; this helper remains the one-off entry point.
-        """
-        cv = self.scaling.demand_cv if cv is None else cv
-        params = self._lognormal_params(cv)
-        if params is None:
-            return 1.0
-        return float(self.rng.lognormal(params[0], params[1]))
 
     # -- shared deterministic formulas -----------------------------------
 

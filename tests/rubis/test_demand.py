@@ -1,25 +1,31 @@
 """Unit tests for demand scaling and sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.apps.requests import ResourceDemand
 from repro.errors import ConfigurationError
 from repro.rubis.database import BufferPool, RubisDatabase
 from repro.rubis.demand import DemandSampler, DemandScaling
+from repro.rubis.interactions import INTERACTIONS, get_interaction
 from repro.rubis.transitions import bidding_matrix, browsing_matrix
 from repro.units import MB
 
 
-@pytest.fixture
-def sampler():
-    database = RubisDatabase()
-    pool = BufferPool(
+def _pool():
+    return BufferPool(
         capacity_bytes=384 * MB,
-        database=database,
+        database=RubisDatabase(),
         hot_fraction=0.05,
         hot_access_probability=0.99,
     )
-    return DemandSampler(DemandScaling(), pool, np.random.default_rng(5))
+
+
+@pytest.fixture
+def sampler():
+    return DemandSampler(DemandScaling(), _pool(), np.random.default_rng(5))
 
 
 class TestDemandScaling:
@@ -118,3 +124,93 @@ class TestExpectedDemand:
         # spill on searches, so compare the written component.
         assert expected.db_disk_write_bytes > 0
         assert browse_expected.web_cycles > expected.web_cycles
+
+
+def _seven_call_sample(sampler, name):
+    """One request's demand drawn with one generator call per factor.
+
+    The sampler's earlier formulation: a response lognormal, the
+    buffer-pool binomial, then five lognormals (web, db and write noise,
+    the log noise, the request noise).  It reads the same precomputed
+    bases, so only the draws can differ from ``DemandSampler.sample``.
+    """
+    (response_base, response_params, web_base, db_base, db_queries,
+     rows_touched, db_write_base, web_log_base, request_base,
+     query_bytes, result_bytes, writes, demand_params, log_params,
+     req_params) = sampler._build_profile(name)
+    rng = sampler.rng
+    response_noise = (
+        float(rng.lognormal(*response_params))
+        if response_params is not None else 1.0
+    )
+    db_read = sampler.buffer_pool.access(
+        rng, rows_touched, sampler._row_bytes
+    )
+    if demand_params is not None:
+        web_noise = float(rng.lognormal(*demand_params))
+        db_noise = float(rng.lognormal(*demand_params))
+        write_noise = float(rng.lognormal(*demand_params))
+    else:
+        web_noise = db_noise = write_noise = 1.0
+    log_noise = float(rng.lognormal(*log_params))
+    req_noise = float(rng.lognormal(*req_params))
+    return ResourceDemand(
+        web_base * web_noise,
+        db_base * db_noise,
+        db_queries,
+        db_read,
+        db_write_base * write_noise,
+        web_log_base * log_noise,
+        request_base * req_noise,
+        response_base * response_noise,
+        query_bytes,
+        result_bytes,
+        writes,
+    )
+
+
+class TestDrawIdentity:
+    """``sample`` equals one lognormal call per factor, bit for bit.
+
+    Three generator calls replace seven: the noise factors are
+    ``exp(mu + sigma * z)`` on the same standard normals, so every field
+    and the generator state afterwards must match exactly.
+    """
+
+    def _assert_identical(self, scaling, names, seed, draws):
+        shipped = DemandSampler(scaling, _pool(), np.random.default_rng(seed))
+        reference = DemandSampler(
+            scaling, _pool(), np.random.default_rng(seed)
+        )
+        order = np.random.default_rng(seed + 1).integers(
+            0, len(names), draws
+        )
+        for index in order:
+            name = names[index]
+            assert shipped.sample(name) == _seven_call_sample(
+                reference, name
+            ), name
+        assert (
+            shipped.rng.bit_generator.state
+            == reference.rng.bit_generator.state
+        )
+        assert shipped.buffer_pool.misses == reference.buffer_pool.misses
+
+    @pytest.mark.parametrize("seed", [1, 5, 42])
+    def test_every_interaction_matches_seven_calls(self, seed):
+        names = sorted(INTERACTIONS)
+        assert len(names) == 26
+        self._assert_identical(DemandScaling(), names, seed, 4000)
+
+    def test_zero_demand_cv_still_draws_log_and_request_noise(self):
+        self._assert_identical(
+            DemandScaling(demand_cv=0.0), sorted(INTERACTIONS), 7, 2000
+        )
+
+    def test_zero_response_cv_draws_no_response_noise(self, monkeypatch):
+        flat = replace(get_interaction("ViewItem"), name="Flat",
+                       response_cv=0.0)
+        monkeypatch.setitem(INTERACTIONS, "Flat", flat)
+        self._assert_identical(
+            DemandScaling(), ["Flat", "ViewItem"], 11, 1000
+        )
