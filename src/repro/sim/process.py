@@ -55,6 +55,11 @@ class PeriodicProcess:
     def running(self) -> bool:
         return self._running
 
+    @property
+    def asleep(self) -> bool:
+        """Whether the process waits for :meth:`wake` (see :meth:`sleep`)."""
+        return self._asleep
+
     def start(self) -> "PeriodicProcess":
         """Arm the process; returns self for chaining."""
         if self._running:

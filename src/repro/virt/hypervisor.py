@@ -6,7 +6,9 @@ One :class:`Hypervisor` runs per virtualized physical server.  It owns
 * the credit scheduler, re-run every epoch by a periodic process that
   sleeps while every domain is idle (see :meth:`Hypervisor._run_epoch`),
 * the block/net backends in dom0,
-* dom0's own housekeeping (base CPU burn, memory model, log writes),
+* dom0's own housekeeping (base CPU burn and log writes, once a second),
+* dom0's memory model, which follows every change of a guest's memory
+  (:meth:`Hypervisor.set_vm_memory`, :meth:`Hypervisor.detach_domain`),
 
 and exposes the execution interface the application tiers use:
 ``cpu_time`` / ``charge_vm_cycles`` / ``disk_read`` / ``disk_write`` /
@@ -40,7 +42,9 @@ from repro.virt.scheduler import CreditScheduler
 #: epoch because allocations only change with station occupancy.
 DEFAULT_EPOCH_S = 0.1
 
-#: Dom0 housekeeping cadence (sysstat cron, log flush, memory update).
+#: Dom0 housekeeping cadence (base CPU burn, sysstat cron, log flush).
+#: Dom0's memory is not refreshed here: it changes only where guest
+#: memory does.
 HOUSEKEEPING_INTERVAL_S = 1.0
 
 
@@ -127,6 +131,9 @@ class Hypervisor:
         )
         self.net_backend = NetBackend(sim, server.nic, server.cpu, self.overhead)
         self.requests_accounted = 0
+        #: True when the last epoch put the epoch process to sleep, so
+        #: the next epoch is a tick a gauge rise armed (see _run_epoch).
+        self._epoch_slept = False
         self._epoch_process = PeriodicProcess(
             sim, epoch_s, self._run_epoch, name="credit-epoch"
         ).start()
@@ -480,10 +487,25 @@ class Hypervisor:
         worker gauge on this host rises again would repeat it, so the
         epoch process sleeps after it and each domain's ``on_wake``
         resumes it on the same grid.
+
+        A woken tick whose gauges are all idle again (a worker started
+        and finished between two ticks) would repeat it too, so it
+        sleeps again without calling ``allocate``.  The skip is gated
+        on the last sleep having taken effect (``asleep`` read right
+        after it): a process whose ``sleep`` does nothing never skips.
         """
+        process = self._epoch_process
+        if self._epoch_slept:
+            for domain in self._domains.values():
+                if domain.active_workers > 0:
+                    break
+            else:
+                process.sleep()
+                return
         decision = self.scheduler.allocate(self._domains.values())
         runnable = decision.runnable
         if runnable:
+            self._epoch_slept = False
             self.server.cpu.charge(
                 DOM0_OWNER,
                 self.overhead.sched_cycles_per_epoch_per_domain * runnable,
@@ -498,7 +520,8 @@ class Hypervisor:
                         continue
                     ready[name] = ready.get(name, 0.0) + accrual * demand
         else:
-            self._epoch_process.sleep()
+            process.sleep()
+            self._epoch_slept = process.asleep
 
     def _run_housekeeping(self, tick_time: float) -> None:
         self.server.cpu.charge(
@@ -508,7 +531,6 @@ class Hypervisor:
         log_bytes = self.overhead.dom0_log_bytes_per_s * HOUSEKEEPING_INTERVAL_S
         if log_bytes > 0:
             self.block_backend.dom0_write(tick_time, log_bytes)
-        self._update_dom0_memory()
 
     def shutdown(self) -> None:
         """Disarm periodic processes (end of an experiment).

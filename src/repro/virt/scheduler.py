@@ -20,7 +20,8 @@ the previous decision.  A host whose every domain is idle skips even
 that: an all-idle decision grants every domain a speed fraction of 1.0
 whatever its caps, weights, cores or domain set, so the hypervisor
 stops calling :meth:`CreditScheduler.allocate` until a worker gauge
-rises (see :meth:`repro.virt.hypervisor.Hypervisor._run_epoch`), and
+rises, and does not call it at a woken tick whose gauges are all idle
+again (see :meth:`repro.virt.hypervisor.Hypervisor._run_epoch`).
 :attr:`CreditScheduler.epochs` counts only the allocations evaluated.
 """
 
@@ -77,7 +78,8 @@ class CreditScheduler:
             raise ConfigurationError("total_cores must be positive")
         self.total_cores = float(total_cores)
         self.last_decision = SchedulerDecision(total_cores=self.total_cores)
-        #: Allocations evaluated (epochs a sleeping host skips are not).
+        #: Allocations evaluated (the epochs an idle host sleeps through
+        #: or skips at a woken tick are not).
         self.epochs = 0
         # name -> speed fraction of the last epoch; fractions only change
         # at epoch boundaries but are read at every service start.

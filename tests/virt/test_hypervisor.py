@@ -90,6 +90,47 @@ class TestMemoryPath:
         hypervisor.set_vm_memory(domain, 5 * GB)
         assert hypervisor.vm_memory_used(domain) == 1 * GB
 
+    def test_dom0_memory_follows_every_guest_memory_change(self):
+        # Housekeeping stopped: each change must update dom0 itself.
+        sim = Simulator()
+        source = Hypervisor(sim, PhysicalServer("a"))
+        dest = Hypervisor(sim, PhysicalServer("b"))
+        overhead = source.overhead
+
+        def assert_dom0_follows(hypervisor):
+            guest_used = sum(
+                hypervisor.vm_memory_used(d)
+                for d in hypervisor.guest_domains()
+            )
+            assert hypervisor.dom0_memory_used() == (
+                overhead.dom0_base_memory_bytes
+                + overhead.dom0_memory_per_vm_byte * guest_used
+            )
+
+        for hypervisor in (source, dest):
+            hypervisor._housekeeping.stop()
+            hypervisor.set_vm_memory(
+                hypervisor.create_domain("db-vm", memory_bytes=2 * GB),
+                700 * MB,
+            )
+        web = source.create_domain("web-vm", memory_bytes=2 * GB)
+        assert_dom0_follows(source)
+        sim.run_until(1.5)
+        source.set_vm_memory(web, 1500 * MB)
+        assert_dom0_follows(source)
+        sim.run_until(3.5)
+        source.balloon(web, 1 * GB)
+        assert source.vm_memory_used(web) == 1 * GB
+        assert_dom0_follows(source)
+        sim.run_until(5.5)
+        state = source.detach_domain("web-vm")
+        assert_dom0_follows(source)
+        sim.run_until(7.5)
+        dest.attach_domain(state)
+        assert dest.vm_memory_used(web) == 1 * GB
+        assert_dom0_follows(dest)
+        assert_dom0_follows(source)
+
     def test_dom0_memory_tracks_guest_usage(self, hv):
         _, _, hypervisor = hv
         overhead = hypervisor.overhead
@@ -198,6 +239,51 @@ class TestPeriodicWork:
         sim.schedule_at(1.05, park)
         sim.run_until(1.55)
         assert hypervisor.scheduler.epochs == 6
+
+    def test_idle_woken_tick_sleeps_without_allocating(self):
+        sim = Simulator()
+        server = PhysicalServer("s")
+        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        domain = hypervisor.create_domain("web-vm")
+        process = hypervisor._epoch_process
+        sim.run_until(1.05)
+        assert (hypervisor.scheduler.epochs, process.ticks) == (1, 1)
+        # A worker starts and finishes between the ticks near 2.0 and
+        # 2.1: the start wakes the host, and the woken tick finds every
+        # gauge idle again.
+        sim.schedule_at(2.03, domain.worker_started)
+        sim.schedule_at(2.07, domain.worker_finished)
+        sim.run_until(2.15)
+        assert process.ticks == 2
+        assert hypervisor.scheduler.epochs == 1
+        assert process.asleep
+        sim.run_until(10.0)
+        assert process.ticks == 2
+        assert hypervisor.scheduler.speed_fraction("web-vm") == 1.0
+
+    def test_busy_woken_tick_allocates_and_charges_dom0(self):
+        sim = Simulator()
+        server = PhysicalServer("s")
+        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        domain = hypervisor.create_domain("web-vm", cap_cores=0.5)
+        sim.run_until(1.05)
+        # An idle repeat first, so the busy tick below follows a skip.
+        sim.schedule_at(1.23, domain.worker_started)
+        sim.schedule_at(1.27, domain.worker_finished)
+        sim.schedule_at(2.03, domain.worker_started)
+        sim.run_until(2.05)
+        assert hypervisor.scheduler.epochs == 1
+        assert hypervisor.scheduler.speed_fraction("web-vm") == 1.0
+        dom0_cycles = server.cpu.ledger.total("dom0")
+        sim.run_until(2.15)
+        # The worker still runs at the woken tick near 2.1: it gets its
+        # capped allocation, and dom0 pays for one runnable domain.
+        assert hypervisor.scheduler.epochs == 2
+        assert hypervisor.scheduler.speed_fraction("web-vm") == 0.5
+        charge = hypervisor.overhead.sched_cycles_per_epoch_per_domain
+        assert server.cpu.ledger.total("dom0") - dom0_cycles == (
+            pytest.approx(charge)
+        )
 
     def test_shutdown_stops_a_sleeping_epoch(self):
         sim = Simulator()
