@@ -131,6 +131,10 @@ class VirtualizedContext(ExecutionContext):
     def __init__(self, hypervisor: Hypervisor, domain: Domain) -> None:
         self.domain = domain
         self.owner = domain.owner
+        # The gauge hooks go straight to the domain, which travels with
+        # a migrating guest, so they need no rebinding.
+        self.worker_started = domain.worker_started
+        self.worker_finished = domain.worker_finished
         self._bind(hypervisor)
 
     def _bind(self, hypervisor: Hypervisor) -> None:
@@ -229,12 +233,6 @@ class VirtualizedContext(ExecutionContext):
 
     def net_bytes_total(self) -> float:
         return self.hypervisor.net_backend.vm_total_bytes(self.owner)
-
-    def worker_started(self) -> None:
-        self.domain.worker_started()
-
-    def worker_finished(self) -> None:
-        self.domain.worker_finished()
 
 
 @dataclass
