@@ -1,13 +1,18 @@
-"""What a fleet run reports about itself, and what it imports."""
+"""What a fleet run reports about itself, what it imports, and what it
+leaves running."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.config import ExperimentConfig
-from repro.shard import datacenter_fleet, run_fleet
+from repro.shard import ShardTimeoutError, datacenter_fleet, run_fleet
+from repro.shard.fabric import HANG_ENV
 from repro.shard.pod import Pod
 from repro.shard.spec import FleetScenario, PodSpec
 from repro.workloads import TenantSpec
@@ -64,3 +69,23 @@ class TestImportCost:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "False"
+
+
+def _quick_fleet():
+    return datacenter_fleet(seed=42, pods=2, duration_s=20.0, clients=20)
+
+
+class TestWorkerLifetime:
+    """A sharded run reaps its workers however it ends."""
+
+    def test_no_worker_outlives_a_finished_run(self):
+        assert multiprocessing.active_children() == []
+        run_fleet(_quick_fleet(), shards=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_heartbeat_timeout(self, monkeypatch):
+        assert multiprocessing.active_children() == []
+        monkeypatch.setenv(HANG_ENV, "1")
+        with pytest.raises(ShardTimeoutError):
+            run_fleet(_quick_fleet(), shards=2, heartbeat_timeout_s=3.0)
+        assert multiprocessing.active_children() == []
