@@ -16,6 +16,7 @@ conserved.
 import dataclasses
 
 from repro.experiments.calibration import calibrate_virtualized
+from repro.placement.engine import PlacementEngine
 from repro.rubis.client import ClientPopulation
 from repro.rubis.deployment import VirtualizedDeployment
 from repro.rubis.transitions import bidding_matrix, browsing_matrix
@@ -33,11 +34,14 @@ def run_with_batching(batch_writes: bool):
     )
     sim = Simulator()
     streams = RandomStreams(seed=23)
+    engine = PlacementEngine(sim, 1, overhead=overhead)
+    host = engine.hypervisors["cloud-1"]
     deployment = VirtualizedDeployment(
         sim,
         streams,
+        host,
+        engine.cluster,
         config=calibrated.deployment_config,
-        overhead=overhead,
     )
     mix = WorkloadMix("browsing", browse_fraction=1.0, clients=1000)
     population = ClientPopulation(
@@ -54,7 +58,8 @@ def run_with_batching(batch_writes: bool):
     population.start()
     sim.run_until(DURATION_S)
     deployment.shutdown()
-    disk = deployment.server.disk
+    engine.shutdown()
+    disk = host.server.disk
     total_bytes = disk.bytes_read("dom0") + disk.bytes_written("dom0")
     return {
         "requests": disk.requests_served,

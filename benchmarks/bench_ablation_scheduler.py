@@ -8,10 +8,12 @@ stay roughly constant — showing the scheduler, not the workload model,
 sets the speed.
 """
 
-from repro.experiments.runner import build_deployment
+from repro.experiments.testbed import calibrated_environment
 from repro.monitoring.probes import ContextProbe
 from repro.monitoring.sampler import TraceRecorder
+from repro.placement.engine import PlacementEngine
 from repro.rubis.client import ClientPopulation
+from repro.rubis.deployment import VirtualizedDeployment
 from repro.rubis.transitions import bidding_matrix, browsing_matrix
 from repro.rubis.workload import SessionType, WorkloadMix
 from repro.sim.engine import Simulator
@@ -22,10 +24,18 @@ CAPS = (0.0, 0.5, 0.1)  # uncapped, half a core, a tenth of a core
 
 
 def run_with_cap(cap_cores: float):
+    calibrated = calibrated_environment("virtualized")
     sim = Simulator()
     streams = RandomStreams(seed=11)
-    deployment = build_deployment(sim, streams, "virtualized")
-    deployment.web_domain.cap_cores = cap_cores
+    engine = PlacementEngine(sim, 1, overhead=calibrated.overhead)
+    deployment = VirtualizedDeployment(
+        sim,
+        streams,
+        engine.hypervisors["cloud-1"],
+        engine.cluster,
+        config=calibrated.deployment_config,
+    )
+    deployment.web_context.domain.cap_cores = cap_cores
     mix = WorkloadMix(
         "stress", browse_fraction=1.0, think_time_s=0.4, clients=120
     )
@@ -51,6 +61,7 @@ def run_with_cap(cap_cores: float):
     sim.run_until(DURATION_S)
     recorder.stop()
     deployment.shutdown()
+    engine.shutdown()
     return {
         "cap": cap_cores,
         "mean_response_s": population.stats.mean_response_time_s,

@@ -47,7 +47,6 @@ from repro.experiments.scenarios import (
 from repro.experiments.testbed import (
     Testbed,
     TestbedBuilder,
-    build_deployment,
     build_testbed,
     calibrated_environment,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "default_duration_s",
     "Testbed",
     "TestbedBuilder",
-    "build_deployment",
     "build_testbed",
     "calibrated_environment",
     "ExperimentResult",

@@ -32,7 +32,6 @@ from repro.sim.random import RandomStreams
 from repro.traffic.trace import RateTrace
 from repro.experiments.scenarios import Scenario
 from repro.experiments.testbed import (  # noqa: F401  (compat re-exports)
-    build_deployment,
     build_testbed,
     calibrated_environment,
 )

@@ -5,9 +5,10 @@ scenario vocabulary and the simulated hardware.  It has two build
 paths:
 
 * a **virtualized** scenario, on one server or many, places every VM
-  through the :class:`~repro.placement.engine.PlacementEngine` (one
-  :class:`~repro.virt.hypervisor.Hypervisor` per server), attaches the
-  web VMs to the web pair's hypervisor (the calibrated
+  through the :class:`~repro.placement.engine.PlacementEngine`, which
+  builds every :class:`~repro.virt.hypervisor.Hypervisor` (one per
+  server) and owns their lifecycles.  The builder attaches the web VMs
+  to the web pair's hypervisor (the calibrated
   :class:`~repro.rubis.deployment.VirtualizedDeployment`), then creates
   one extra domain per :class:`~repro.workloads.base.TenantSpec` on
   the server the engine chose and wires the tenant's workload (e.g.
@@ -85,31 +86,6 @@ def calibrated_environment(environment: str) -> CalibratedEnvironment:
     return _calibration_cache[environment]
 
 
-def build_deployment(
-    sim: Simulator,
-    streams: RandomStreams,
-    environment: str,
-    vcpu_contention: bool = False,
-) -> Deployment:
-    """Construct the calibrated single-tenant deployment."""
-    calibrated = calibrated_environment(environment)
-    if environment == VIRTUALIZED:
-        return VirtualizedDeployment(
-            sim,
-            streams,
-            config=calibrated.deployment_config,
-            overhead=calibrated.overhead,
-            vcpu_contention=vcpu_contention,
-        )
-    return BareMetalDeployment(
-        sim,
-        streams,
-        config=calibrated.deployment_config,
-        web_os_model=calibrated.web_os_model,
-        db_os_model=calibrated.db_os_model,
-    )
-
-
 class Testbed:
     """A live testbed: the web workload plus any co-resident tenants."""
 
@@ -175,8 +151,7 @@ class Testbed:
             tenant.shutdown()
         self.web.shutdown()
         if self.engine is not None:
-            # The web deployment stopped its own hypervisor above;
-            # stop() is idempotent, so sweeping the whole fleet is safe.
+            # The engine built every hypervisor, so it stops them all.
             self.engine.shutdown()
 
     def tenant_reports(self) -> Optional[Dict[str, dict]]:
@@ -256,10 +231,6 @@ class TestbedBuilder:
         observe: bool = False,
     ) -> Testbed:
         """Build the testbed a scenario describes (single- or multi-tenant)."""
-        if scenario.tenants and scenario.environment != VIRTUALIZED:
-            raise ConfigurationError(
-                "multi-tenant testbeds require the virtualized environment"
-            )
         original = scenario
         resolved_faults = ()
         if scenario.faults is not None:
@@ -274,7 +245,14 @@ class TestbedBuilder:
                 scenario
             )
         else:
-            deployment = build_deployment(self.sim, self.streams, BARE_METAL)
+            calibrated = calibrated_environment(BARE_METAL)
+            deployment = BareMetalDeployment(
+                self.sim,
+                self.streams,
+                config=calibrated.deployment_config,
+                web_os_model=calibrated.web_os_model,
+                db_os_model=calibrated.db_os_model,
+            )
             hypervisor = engine = None
         web = RubisWorkload(
             self.sim,
@@ -533,10 +511,9 @@ class TestbedBuilder:
         deployment = VirtualizedDeployment(
             self.sim,
             self.streams,
+            hypervisor,
+            engine.cluster,
             config=calibrated.deployment_config,
-            overhead=calibrated.overhead,
-            hypervisor=hypervisor,
-            cluster=engine.cluster,
         )
         return deployment, hypervisor, engine
 

@@ -35,7 +35,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.apps.tier import BareMetalContext, ExecutionContext, OsActivityModel
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster
-from repro.hardware.server import ServerSpec
 from repro.mapreduce.job import JobSpec, MapReduceJob
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
@@ -79,7 +78,6 @@ class MapReduceCluster:
         nodes: int = 4,
         map_slots: int = 2,
         reduce_slots: int = 2,
-        server_spec: Optional[ServerSpec] = None,
         contexts: Optional[Sequence[ExecutionContext]] = None,
         stream: str = "mapreduce",
     ) -> None:
@@ -87,7 +85,6 @@ class MapReduceCluster:
             raise ConfigurationError("slots must be >= 1")
         self.sim = sim
         self.rng = streams.stream(stream)
-        del server_spec  # owned nodes use the paper's server spec
         if contexts is not None:
             if not contexts:
                 raise ConfigurationError("need at least one worker context")

@@ -7,9 +7,11 @@ scheduler and split-driver backends) per
 :class:`~repro.hardware.server.PhysicalServer` in a shared
 :class:`~repro.hardware.cluster.Cluster`, then assigns
 :class:`~repro.placement.spec.VmRequest`s to servers through a
-pluggable policy.  At run time it is the fleet's directory: which VM
-lives where, what every server has committed, and which server could
-receive a migrating VM.
+pluggable policy.  Deployments and tenants attach their domains to
+the hypervisors it built, and :meth:`PlacementEngine.shutdown` stops
+them all.  At run time it is the fleet's directory: which VM lives
+where, what every server has committed, and which server could receive
+a migrating VM.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster
-from repro.hardware.network import NetworkFabric
-from repro.hardware.server import ServerSpec
 from repro.placement.policies import ServerLoad, plan_placement
 from repro.placement.spec import (
     DEFAULT_VCPU_OVERCOMMIT,
@@ -42,8 +42,6 @@ class PlacementEngine:
         server_count: int,
         policy: str = "firstfit",
         overhead: Optional[OverheadModel] = None,
-        server_spec: Optional[ServerSpec] = None,
-        fabric: Optional[NetworkFabric] = None,
         vcpu_contention: bool = False,
         vcpu_overcommit: float = DEFAULT_VCPU_OVERCOMMIT,
     ) -> None:
@@ -54,12 +52,12 @@ class PlacementEngine:
         self.sim = sim
         self.policy = validate_placement_policy(policy)
         self.overcommit = float(vcpu_overcommit)
-        self.cluster = Cluster(fabric)
+        self.cluster = Cluster()
         self.hypervisors: Dict[str, Hypervisor] = {}
         # Servers are created (and therefore iterate) in index order —
         # the deterministic order first-fit packs against.
         for name in server_names(server_count):
-            server = self.cluster.add_server(name, server_spec)
+            server = self.cluster.add_server(name)
             self.hypervisors[server.name] = Hypervisor(
                 sim,
                 server,

@@ -1,15 +1,19 @@
 """Deployment wiring: RUBiS tiers on a virtualized or bare-metal testbed.
 
-A deployment assembles one of the paper's two environments:
+A deployment wires the paper's two tiers into one of its two
+environments:
 
-* :class:`VirtualizedDeployment` — one cloud server running a Xen-like
-  hypervisor with two guest VMs (web+app, MySQL) plus dom0 (Section 4.1).
-  The VMs share the server, so inter-tier traffic crosses the software
-  bridge with local latency.
+* :class:`VirtualizedDeployment` — two guest VMs (web+app, MySQL) on a
+  Xen-like hypervisor it is given (Section 4.1).  The host, its dom0
+  and its cluster are built by
+  :class:`~repro.placement.engine.PlacementEngine`; the deployment only
+  creates its two domains there.  The VMs share the server, so
+  inter-tier traffic crosses the software bridge with local latency.
 * :class:`BareMetalDeployment` — the two tiers on *separate* physical
-  servers (Section 4.2), so inter-tier traffic crosses the switch; the
-  paper invokes this "longer communication delay in the non-virtualized
-  system" when discussing the earlier RAM jumps.
+  servers of a private cluster (Section 4.2), so inter-tier traffic
+  crosses the switch; the paper invokes this "longer communication
+  delay in the non-virtualized system" when discussing the earlier RAM
+  jumps.
 
 Both expose the same ``send`` function to the client population and the
 same tier/contexts to the monitoring layer, so every other part of the
@@ -30,7 +34,6 @@ from repro.apps.tier import (
 )
 from repro.errors import ConfigurationError
 from repro.hardware.cluster import Cluster
-from repro.hardware.server import ServerSpec
 from repro.rubis.database import BufferPool, RubisDatabase
 from repro.rubis.demand import DemandSampler, DemandScaling
 from repro.rubis.memorymodel import MemoryProfile, TierMemoryModel
@@ -40,7 +43,6 @@ from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.units import GB, MB
 from repro.virt.hypervisor import Hypervisor
-from repro.virt.overhead import OverheadModel
 
 WEB_TIER = "web"
 DB_TIER = "db"
@@ -89,15 +91,13 @@ class Deployment:
         self,
         sim: Simulator,
         streams: RandomStreams,
+        cluster: Cluster,
         config: Optional[DeploymentConfig] = None,
-        cluster: Optional[Cluster] = None,
     ) -> None:
         self.sim = sim
         self.streams = streams
         self.config = config or DeploymentConfig()
-        # A multi-tenant testbed passes its shared cluster in; the
-        # default single-tenant deployment owns a private one.
-        self.cluster = cluster if cluster is not None else Cluster()
+        self.cluster = cluster
         self.buffer_pool = BufferPool(
             capacity_bytes=self.config.buffer_pool_bytes,
             database=self.config.database,
@@ -168,9 +168,6 @@ class Deployment:
             self.streams.stream("memory.db"),
             active_sessions_fn=self._active_sessions,
         )
-
-    def _latency(self, src: str, dst: str) -> float:
-        return self.cluster.fabric.latency(src, dst)
 
     # -- the request path -------------------------------------------------------
 
@@ -265,81 +262,62 @@ class Deployment:
         )
 
     def shutdown(self) -> None:
-        """Disarm all periodic processes."""
+        """Disarm the deployment's periodic processes.
+
+        A virtualized host's processes are its engine's to stop
+        (:meth:`~repro.placement.engine.PlacementEngine.shutdown`).
+        """
         self.web_memory_model.stop()
         self.db_memory_model.stop()
 
 
 class VirtualizedDeployment(Deployment):
-    """Both tiers in VMs on one cloud server under a hypervisor.
+    """Both tiers in VMs on a hypervisor the deployment is given.
 
-    By default the deployment owns its server and hypervisor (the
-    paper's single-tenant testbed).  A multi-tenant testbed passes a
-    pre-built ``hypervisor`` (and its ``cluster``) instead, so the web
-    VMs become two domains among several co-resident tenants sharing
-    the credit scheduler and the dom0 I/O backends.
+    The host is built elsewhere — by
+    :class:`~repro.placement.engine.PlacementEngine`, which also owns
+    its lifecycle — and ``cluster`` is the cluster it lives in.  The
+    deployment creates ``web-vm`` and ``db-vm`` there, sized
+    :data:`DEFAULT_VM_VCPUS` / :data:`DEFAULT_VM_MEMORY_BYTES` like the
+    testbed's placement requests, so on a shared host they are two
+    domains among co-resident tenants, sharing the credit scheduler and
+    the dom0 I/O backends.  The tiers reach the host through
+    ``web_context.hypervisor`` and ``web_context.domain``, which follow
+    a live migration.
     """
 
     def __init__(
         self,
         sim: Simulator,
         streams: RandomStreams,
+        hypervisor: Hypervisor,
+        cluster: Cluster,
         config: Optional[DeploymentConfig] = None,
-        overhead: Optional[OverheadModel] = None,
-        vm_memory_bytes: float = DEFAULT_VM_MEMORY_BYTES,
-        vm_vcpus: int = DEFAULT_VM_VCPUS,
-        server_spec: Optional[ServerSpec] = None,
-        hypervisor: Optional[Hypervisor] = None,
-        cluster=None,
-        vcpu_contention: bool = False,
     ) -> None:
-        self._overhead = overhead or OverheadModel()
-        self._vm_memory_bytes = vm_memory_bytes
-        self._vm_vcpus = vm_vcpus
-        self._server_spec = server_spec
-        self._shared_hypervisor = hypervisor
-        self._vcpu_contention = vcpu_contention
-        super().__init__(sim, streams, config, cluster=cluster)
+        self._hypervisor = hypervisor
+        super().__init__(sim, streams, cluster, config)
 
     @property
     def environment(self) -> str:
         return "virtualized"
 
     def _build(self) -> None:
-        if self._shared_hypervisor is not None:
-            self.hypervisor = self._shared_hypervisor
-            self.server = self.hypervisor.server
-        else:
-            self.server = self.cluster.add_server(
-                "cloud-1", self._server_spec
+        hypervisor = self._hypervisor
+        web_domain, db_domain = (
+            hypervisor.create_domain(
+                name,
+                vcpu_count=DEFAULT_VM_VCPUS,
+                memory_bytes=DEFAULT_VM_MEMORY_BYTES,
             )
-            self.hypervisor = Hypervisor(
-                self.sim,
-                self.server,
-                self._overhead,
-                vcpu_contention=self._vcpu_contention,
-            )
-        self.web_domain = self.hypervisor.create_domain(
-            "web-vm",
-            vcpu_count=self._vm_vcpus,
-            memory_bytes=self._vm_memory_bytes,
+            for name in ("web-vm", "db-vm")
         )
-        self.db_domain = self.hypervisor.create_domain(
-            "db-vm",
-            vcpu_count=self._vm_vcpus,
-            memory_bytes=self._vm_memory_bytes,
-        )
-        self.web_context = VirtualizedContext(self.hypervisor, self.web_domain)
-        self.db_context = VirtualizedContext(self.hypervisor, self.db_domain)
+        self.web_context = VirtualizedContext(hypervisor, web_domain)
+        self.db_context = VirtualizedContext(hypervisor, db_domain)
         fabric = self.cluster.fabric
-        fabric.place(WEB_TIER, self.server.name)
-        fabric.place(DB_TIER, self.server.name)
+        fabric.place(WEB_TIER, hypervisor.server.name)
+        fabric.place(DB_TIER, hypervisor.server.name)
         fabric.place(CLIENT_ENDPOINT, "client-host")
         self._make_tiers()
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        self.hypervisor.shutdown()
 
 
 class BareMetalDeployment(Deployment):
@@ -352,20 +330,18 @@ class BareMetalDeployment(Deployment):
         config: Optional[DeploymentConfig] = None,
         web_os_model: Optional[OsActivityModel] = None,
         db_os_model: Optional[OsActivityModel] = None,
-        server_spec: Optional[ServerSpec] = None,
     ) -> None:
         self._web_os_model = web_os_model or OsActivityModel()
         self._db_os_model = db_os_model or OsActivityModel()
-        self._server_spec = server_spec
-        super().__init__(sim, streams, config)
+        super().__init__(sim, streams, Cluster(), config)
 
     @property
     def environment(self) -> str:
         return "bare-metal"
 
     def _build(self) -> None:
-        self.web_server = self.cluster.add_server("web-pm", self._server_spec)
-        self.db_server = self.cluster.add_server("db-pm", self._server_spec)
+        self.web_server = self.cluster.add_server("web-pm")
+        self.db_server = self.cluster.add_server("db-pm")
         self.web_context = BareMetalContext(
             self.sim, self.web_server, "pm:web", self._web_os_model
         )

@@ -39,8 +39,14 @@ from repro.virt.overhead import OverheadModel
 from repro.virt.scheduler import CreditScheduler
 
 #: Xen's credit scheduler runs accounting every 30 ms; we use a coarser
-#: epoch because allocations only change with station occupancy.
+#: epoch because allocations only change with station occupancy.  The
+#: calibration solves dom0's scheduling cost from this period.
 DEFAULT_EPOCH_S = 0.1
+
+#: Dom0's VCPUs, memory reservation and credit-scheduler weight.
+DOM0_VCPUS = 2
+DOM0_MEMORY_BYTES = 4 * GB
+DOM0_WEIGHT = 512.0
 
 #: Dom0 housekeeping cadence (base CPU burn, sysstat cron, log flush).
 #: Dom0's memory is not refreshed here: it changes only where guest
@@ -72,10 +78,10 @@ class DomainState:
 class Hypervisor:
     """Xen-like hypervisor bound to one physical server.
 
-    The credit-scheduler epoch runs every ``epoch_s`` while any domain
-    on the host has runnable workers and sleeps while none has: every
-    domain the hypervisor hosts, dom0 included, carries the epoch
-    process's ``wake`` as its ``on_wake`` hook.
+    The credit-scheduler epoch runs every :data:`DEFAULT_EPOCH_S` while
+    any domain on the host has runnable workers and sleeps while none
+    has: every domain the hypervisor hosts, dom0 included, carries the
+    epoch process's ``wake`` as its ``on_wake`` hook.
     """
 
     def __init__(
@@ -83,10 +89,6 @@ class Hypervisor:
         sim: Simulator,
         server: PhysicalServer,
         overhead: Optional[OverheadModel] = None,
-        epoch_s: float = DEFAULT_EPOCH_S,
-        dom0_vcpus: int = 2,
-        dom0_memory_bytes: Optional[float] = None,
-        dom0_weight: float = 512.0,
         vcpu_contention: bool = False,
     ) -> None:
         self.sim = sim
@@ -105,7 +107,6 @@ class Hypervisor:
         self._control_hooks: List[Callable[[dict], None]] = []
         self.control_actions = 0
         self.scheduler = CreditScheduler(server.spec.cores)
-        self.epoch_s = float(epoch_s)
         #: Per-domain CPU ready (steal) time in core-seconds — see
         #: :meth:`cpu_ready_seconds`.
         self._cpu_ready_s: Dict[str, float] = {}
@@ -121,9 +122,9 @@ class Hypervisor:
         self.dom0 = Domain(
             "Domain-0",
             kind=DomainKind.DOM0,
-            vcpu_count=dom0_vcpus,
-            memory_bytes=dom0_memory_bytes or 4 * GB,
-            weight=dom0_weight,
+            vcpu_count=DOM0_VCPUS,
+            memory_bytes=DOM0_MEMORY_BYTES,
+            weight=DOM0_WEIGHT,
         )
         self._domains[self.dom0.name] = self.dom0
         self.block_backend = BlockBackend(
@@ -135,7 +136,7 @@ class Hypervisor:
         #: the next epoch is a tick a gauge rise armed (see _run_epoch).
         self._epoch_slept = False
         self._epoch_process = PeriodicProcess(
-            sim, epoch_s, self._run_epoch, name="credit-epoch"
+            sim, DEFAULT_EPOCH_S, self._run_epoch, name="credit-epoch"
         ).start()
         self.dom0.on_wake = self._epoch_process.wake
         self._housekeeping = PeriodicProcess(
@@ -514,7 +515,7 @@ class Hypervisor:
             if total_demand > self.scheduler.total_cores + 1e-12:
                 wait_fraction = 1.0 - self.scheduler.total_cores / total_demand
                 ready = self._cpu_ready_s
-                accrual = self.epoch_s * wait_fraction
+                accrual = DEFAULT_EPOCH_S * wait_fraction
                 for name, demand in decision.demand_cores.items():
                     if demand <= 0:
                         continue

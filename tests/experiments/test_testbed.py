@@ -61,7 +61,7 @@ class TestMultiTenant:
         _, testbed = _build(spec)
         domains = {d.name for d in testbed.hypervisor.domains()}
         assert {"Domain-0", "web-vm", "db-vm", "batch-vm"} <= domains
-        assert testbed.deployment.hypervisor is testbed.hypervisor
+        assert testbed.deployment.web_context.hypervisor is testbed.hypervisor
         assert [p.entity for p in testbed.probes()] == [
             "web", "db", "dom0", "batch",
         ]
@@ -129,6 +129,26 @@ class TestMultiTenant:
         assert set(result.interference) == {"cpu_ready_s"}
         assert result.control_reports is None
         assert np.isfinite(result.p95_response_time_s)
+
+
+class TestShutdown:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "virtualized/browsing",
+            "bare-metal/bidding",
+            "consolidated_web_batch",
+            "fleet_consolidation",
+        ],
+    )
+    def test_shutdown_quiets_every_host(self, name):
+        # The engine, not the web deployment, stops each hypervisor.
+        spec = scenario_catalog(duration_s=30.0)[name]
+        sim, testbed = _build(spec)
+        sim.run_until(5.0)
+        assert sim.pending_events > 0
+        testbed.shutdown()
+        assert sim.pending_events == 0
 
 
 class TestScenarioCatalog:

@@ -11,17 +11,28 @@ from repro.monitoring.export import trace_set_to_csv, trace_set_to_json
 from repro.monitoring.probes import ContextProbe, Dom0Probe, RawCounters
 from repro.monitoring.registry import build_registry
 from repro.monitoring.sampler import FLUSH_TICKS, TraceRecorder
+from repro.placement.engine import PlacementEngine
 from repro.rubis.deployment import VirtualizedDeployment
 from repro.sim.engine import Simulator
 from repro.sim.random import RandomStreams
 from repro.units import GB, KB
 
 
+def _virtualized():
+    """A deployment attached to a fresh one-server engine's host."""
+    engine = PlacementEngine(Simulator(), 1)
+    deployment = VirtualizedDeployment(
+        engine.sim,
+        RandomStreams(3),
+        engine.hypervisors["cloud-1"],
+        engine.cluster,
+    )
+    return engine.sim, deployment
+
+
 @pytest.fixture
 def virt():
-    sim = Simulator()
-    deployment = VirtualizedDeployment(sim, RandomStreams(3))
-    return sim, deployment
+    return _virtualized()
 
 
 class FakeSession:
@@ -48,7 +59,8 @@ class TestContextProbe:
         _, deployment = virt
         probe = ContextProbe("web", deployment.web_context)
         assert probe.virtualized
-        assert probe.mem_total_bytes == deployment.web_domain.memory_bytes
+        domain = deployment.web_context.domain
+        assert probe.mem_total_bytes == domain.memory_bytes
         assert probe.capacity_cycles_per_s == pytest.approx(2 * 2.8e9)
 
     def test_snapshot_tracks_activity(self, virt):
@@ -66,7 +78,7 @@ class TestContextProbe:
 class TestDom0Probe:
     def test_snapshot_reads_dom0_owners(self, virt):
         sim, deployment = virt
-        probe = Dom0Probe(deployment.hypervisor)
+        probe = Dom0Probe(deployment.web_context.hypervisor)
         sim.run_until(3.0)
         snapshot = probe.snapshot()
         assert snapshot.cpu_cycles > 0  # housekeeping burned cycles
@@ -74,7 +86,7 @@ class TestDom0Probe:
 
     def test_not_flagged_virtualized(self, virt):
         _, deployment = virt
-        assert not Dom0Probe(deployment.hypervisor).virtualized
+        assert not Dom0Probe(deployment.web_context.hypervisor).virtualized
 
 
 class TestTraceRecorder:
@@ -83,7 +95,7 @@ class TestTraceRecorder:
         probes = [
             ContextProbe("web", deployment.web_context),
             ContextProbe("db", deployment.db_context),
-            Dom0Probe(deployment.hypervisor),
+            Dom0Probe(deployment.web_context.hypervisor),
         ]
         recorder = TraceRecorder(sim, probes, "virtualized", "browsing")
         sim.run_until(10.0)
@@ -155,13 +167,12 @@ class TestRegistryBlocks:
 
     @staticmethod
     def _recorder(registry, columnar=False):
-        sim = Simulator()
-        deployment = VirtualizedDeployment(sim, RandomStreams(3))
+        sim, deployment = _virtualized()
         recorder = TraceRecorder(
             sim,
             [
                 ContextProbe("web", deployment.web_context),
-                Dom0Probe(deployment.hypervisor),
+                Dom0Probe(deployment.web_context.hypervisor),
             ],
             "virtualized",
             "browsing",
@@ -177,7 +188,8 @@ class TestRegistryBlocks:
         # ticks; the block must be evaluated with each tick's total,
         # not with the allocation in force when the block is flushed.
         sim, deployment, recorder = self._recorder(registry, columnar=True)
-        hypervisor, domain = deployment.hypervisor, deployment.web_domain
+        context = deployment.web_context
+        hypervisor, domain = context.hypervisor, context.domain
         totals = [domain.memory_bytes, 1.5 * GB, 3.0 * GB, 1.0 * GB, 1.0 * GB]
         for at, memory, vcpus in ((3.0, 1.5 * GB, 2), (5.0, 3.0 * GB, 1),
                                   (7.0, 1.0 * GB, 4)):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.placement.engine import PlacementEngine
 from repro.rubis.deployment import (
     BareMetalDeployment,
     DeploymentConfig,
@@ -16,10 +17,19 @@ class FakeSession:
 
 
 @pytest.fixture
-def virt():
-    sim = Simulator()
-    deployment = VirtualizedDeployment(sim, RandomStreams(1))
-    return sim, deployment
+def engine():
+    return PlacementEngine(Simulator(), 1)
+
+
+@pytest.fixture
+def virt(engine):
+    deployment = VirtualizedDeployment(
+        engine.sim,
+        RandomStreams(1),
+        engine.hypervisors["cloud-1"],
+        engine.cluster,
+    )
+    return engine.sim, deployment
 
 
 @pytest.fixture
@@ -36,7 +46,7 @@ class TestVirtualizedDeployment:
 
     def test_two_guests_plus_dom0(self, virt):
         _, deployment = virt
-        names = {d.name for d in deployment.hypervisor.domains()}
+        names = {d.name for d in deployment.web_context.hypervisor.domains()}
         assert names == {"Domain-0", "web-vm", "db-vm"}
 
     def test_tiers_colocated_on_one_server(self, virt):
@@ -81,14 +91,14 @@ class TestVirtualizedDeployment:
         assert deployment.web_context.net_bytes_total() > 0
         assert deployment.db_context.net_bytes_total() > 0
 
-    def test_shutdown_stops_activity(self, virt):
+    def test_shutdown_stops_activity(self, virt, engine):
         sim, deployment = virt
         deployment.shutdown()
-        cycles = deployment.hypervisor.server.cpu.ledger.grand_total()
+        engine.shutdown()
+        ledger = deployment.web_context.hypervisor.server.cpu.ledger
+        cycles = ledger.grand_total()
         sim.run_until(20.0)
-        assert (
-            deployment.hypervisor.server.cpu.ledger.grand_total() == cycles
-        )
+        assert ledger.grand_total() == cycles
 
 
 class TestBareMetalDeployment:
@@ -109,11 +119,9 @@ class TestBareMetalDeployment:
         sim.run_until(5.0)
         assert len(responses) == 1
 
-    def test_inter_tier_latency_larger_than_virtualized(self):
-        sim_v = Simulator()
-        virt = VirtualizedDeployment(sim_v, RandomStreams(1))
-        sim_b = Simulator()
-        bare = BareMetalDeployment(sim_b, RandomStreams(1))
+    def test_inter_tier_latency_larger_than_virtualized(self, virt, bare):
+        _, virt = virt
+        _, bare = bare
         lat_virt = virt.cluster.fabric.latency("web", "db")
         lat_bare = bare.cluster.fabric.latency("web", "db")
         # The paper's "longer communication delay in the non-virtualized

@@ -172,7 +172,7 @@ class TestPeriodicWork:
     def test_scheduler_decision_updates_every_epoch(self):
         sim = Simulator()
         server = PhysicalServer("s")
-        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor = Hypervisor(sim, server)
         hypervisor.create_domain("web-vm").active_workers = 1
         sim.run_until(1.0)
         assert hypervisor.scheduler.epochs == 10
@@ -180,7 +180,7 @@ class TestPeriodicWork:
     def test_idle_host_evaluates_one_epoch_then_sleeps(self):
         sim = Simulator()
         server = PhysicalServer("s")
-        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor = Hypervisor(sim, server)
         hypervisor.create_domain("web-vm")
         sim.run_until(0.1)
         assert hypervisor.scheduler.epochs == 1
@@ -194,7 +194,7 @@ class TestPeriodicWork:
     def test_gauge_rise_wakes_the_epoch_on_its_grid(self):
         sim = Simulator()
         server = PhysicalServer("s")
-        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor = Hypervisor(sim, server)
         domain = hypervisor.create_domain("web-vm")
         sim.schedule_at(2.05, domain.worker_started)
         sim.run_until(2.55)
@@ -208,8 +208,8 @@ class TestPeriodicWork:
 
     def test_busy_domain_attached_wakes_a_sleeping_host(self):
         sim = Simulator()
-        source = Hypervisor(sim, PhysicalServer("a"), epoch_s=0.1)
-        dest = Hypervisor(sim, PhysicalServer("b"), epoch_s=0.1)
+        source = Hypervisor(sim, PhysicalServer("a"))
+        dest = Hypervisor(sim, PhysicalServer("b"))
         domain = source.create_domain("web-vm")
         domain.active_workers = 1
         sim.run_until(1.05)
@@ -231,7 +231,7 @@ class TestPeriodicWork:
     def test_dom0_gauge_wakes_the_epoch(self):
         sim = Simulator()
         server = PhysicalServer("s")
-        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor = Hypervisor(sim, server)
 
         def park():
             hypervisor.dom0.active_workers += 8
@@ -243,7 +243,7 @@ class TestPeriodicWork:
     def test_idle_woken_tick_sleeps_without_allocating(self):
         sim = Simulator()
         server = PhysicalServer("s")
-        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor = Hypervisor(sim, server)
         domain = hypervisor.create_domain("web-vm")
         process = hypervisor._epoch_process
         sim.run_until(1.05)
@@ -264,7 +264,7 @@ class TestPeriodicWork:
     def test_busy_woken_tick_allocates_and_charges_dom0(self):
         sim = Simulator()
         server = PhysicalServer("s")
-        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor = Hypervisor(sim, server)
         domain = hypervisor.create_domain("web-vm", cap_cores=0.5)
         sim.run_until(1.05)
         # An idle repeat first, so the busy tick below follows a skip.
@@ -288,7 +288,7 @@ class TestPeriodicWork:
     def test_shutdown_stops_a_sleeping_epoch(self):
         sim = Simulator()
         server = PhysicalServer("s")
-        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor = Hypervisor(sim, server)
         domain = hypervisor.create_domain("web-vm")
         sim.run_until(1.0)
         hypervisor.shutdown()

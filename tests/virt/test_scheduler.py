@@ -229,7 +229,7 @@ class TestMemoizedAllocation:
         # apart.
         sim = Simulator()
         server = PhysicalServer("s")
-        hypervisor = Hypervisor(sim, server, epoch_s=0.1)
+        hypervisor = Hypervisor(sim, server)
         web = hypervisor.create_domain("web-vm", vcpu_count=2)
         web.active_workers = 2
         crash = ServerCrashInjector(hypervisor, residual_fraction=0.125)
