@@ -677,7 +677,7 @@ _FLEET_READS = ("fleet", "shards", "quick_fleet", "seed", "export_json")
 
 def _cmd_fleet(args: argparse.Namespace, given: Sequence[str]) -> int:
     """``repro run --fleet``: the sharded fleet-of-fleets path."""
-    from repro.shard import fleet_catalog, run_fleet
+    from repro.shard import fleet_catalog, run_fleet, shard_partition
 
     _reject(
         [dest for dest in given if dest not in _FLEET_READS], "--fleet",
@@ -698,6 +698,8 @@ def _cmd_fleet(args: argparse.Namespace, given: Sequence[str]) -> int:
         )
     fleet = catalog[args.fleet]
     shards = args.shards if args.shards is not None else 1
+    # A count the partition rejects fails before the banner.
+    shard_partition(fleet.pod_names(), shards)
     print(f"running fleet {fleet.name}: {len(fleet.pods)} pods / "
           f"{fleet.server_count()} servers / {fleet.vm_count()} VMs on "
           f"{shards} shard(s), {fleet.duration_s:.0f}s simulated",

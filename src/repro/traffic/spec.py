@@ -16,12 +16,13 @@ carries a non-closed spec.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.rubis.client import SendFn
 from repro.rubis.transitions import TransitionMatrix
 from repro.rubis.workload import SessionType, WorkloadMix
@@ -102,6 +103,13 @@ class TrafficSpec:
         if self.kind != TRACE and self.trace_path:
             raise ConfigurationError(
                 f"trace_path is only valid with kind={TRACE!r}"
+            )
+        if self.kind == TRACE and not (
+            os.path.isfile(self.trace_path)
+            and os.access(self.trace_path, os.R_OK)
+        ):
+            raise ConfigurationError(
+                f"trace {self.trace_path!r} is not a readable file"
             )
         if self.session_budget is not None and self.session_budget < 1:
             raise ConfigurationError("session_budget must be >= 1")
@@ -216,7 +224,12 @@ def build_process(
             levels=spec.bmodel_levels,
         )
     elif spec.kind == TRACE:
-        trace = RateTrace.from_file(spec.trace_path, spec.trace_column)
+        try:
+            trace = RateTrace.from_file(spec.trace_path, spec.trace_column)
+        except (AnalysisError, OSError) as error:
+            raise ConfigurationError(
+                f"cannot replay trace {spec.trace_path!r}: {error}"
+            ) from error
         if spec.rate_rps is not None:
             # Explicit rate rescales the trace to that mean intensity.
             mean = trace.mean_rate_rps()

@@ -280,7 +280,7 @@ class RateTrace:
                 header = next(reader)
             except StopIteration:
                 raise AnalysisError(f"{path}: empty CSV") from None
-            rows = [row for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if row]
         if TIME_COLUMN not in header:
             raise AnalysisError(f"{path}: no {TIME_COLUMN!r} column")
         wanted = column or RATE_COLUMN
@@ -294,9 +294,17 @@ class RateTrace:
                 )
         t_index = header.index(TIME_COLUMN)
         r_index = header.index(wanted)
-        times = np.array([float(row[t_index]) for row in rows])
-        rates = np.array([float(row[r_index]) for row in rows])
-        return cls._from_grid(times, rates, path)
+        times, rates = [], []
+        for line, row in rows:
+            try:
+                times.append(float(row[t_index]))
+                rates.append(float(row[r_index]))
+            except (ValueError, IndexError):
+                raise AnalysisError(
+                    f"{path}: line {line} has no numeric {TIME_COLUMN!r} "
+                    f"and {wanted!r} values: {row}"
+                ) from None
+        return cls._from_grid(np.array(times), np.array(rates), path)
 
     @classmethod
     def from_npz(cls, path: str, column: Optional[str] = None) -> "RateTrace":

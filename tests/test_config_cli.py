@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -18,6 +19,7 @@ from repro.cli import main
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.experiments.suite import suite_grid
+from repro.traffic.trace import RateTrace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -453,7 +455,23 @@ _DOCUMENTED_IN = (
 _DOCUMENTED_ERRORS = (
     "run --scenario nope",
     "run --faults crash@20/cloud-2 --duration 20",
+    "run --traffic trace:/nonexistent.csv --duration 20",
+    "run --fleet two-pod --shards 3",
 )
+
+
+def _write_replay_inputs(argv) -> list:
+    """Write the rate trace each ``trace:<path>`` of a documented
+    command replays: a file its reader recorded first.  Documented
+    paths are relative, so the trace lands in the working directory."""
+    paths = []
+    for token in argv:
+        if token.startswith("trace:"):
+            path = Path(token[len("trace:"):])
+            assert not path.is_absolute(), token
+            RateTrace(np.full(10, 5.0), interval_s=2.0).to_csv(str(path))
+            paths.append(path.resolve())
+    return paths
 
 
 def _documented_commands() -> list:
@@ -557,12 +575,13 @@ class TestOneResolver:
             with pytest.raises(ConfigurationError):
                 main(argv)
             return
+        inputs = _write_replay_inputs(argv)
         try:
             # Catalogue listings and table1 finish without running.
             assert main(argv) == 0
         except _Resolved:
             assert len(resolved) == 1
-        assert not list(tmp_path.iterdir())
+        assert sorted(tmp_path.iterdir()) == sorted(inputs)
 
 
 class TestSingleRunPipeline:
@@ -619,6 +638,59 @@ class TestFleetRejectsUnreadFlags:
         assert main(["run", "--fleet", "list", "--seed", "3",
                      "--quick-fleet"]) == 0
         assert "two-pod" in capsys.readouterr().out
+
+
+class TestFleetShardCount:
+    @pytest.mark.parametrize("shards", ["3", "0"])
+    def test_bad_count_rejected_before_the_banner(
+        self, monkeypatch, capsys, shards
+    ):
+        # two-pod has two pods; run_fleet, which starts the workers,
+        # is never reached.
+        resolved = _stub_entry_points(monkeypatch)
+        with pytest.raises(ConfigurationError, match="shards"):
+            main(["run", "--fleet", "two-pod", "--shards", shards])
+        assert resolved == []
+        assert "running fleet" not in capsys.readouterr().err
+
+
+class TestTraceTrafficErrors:
+    @pytest.mark.parametrize(
+        "argv, banner",
+        [
+            (["run", "--traffic"], "running"),
+            (["sweep", "--traffics"], "sweeping"),
+        ],
+        ids=["run", "sweep"],
+    )
+    def test_missing_trace_rejected_before_the_banner(
+        self, monkeypatch, capsys, tmp_path, argv, banner
+    ):
+        resolved = _stub_entry_points(monkeypatch)
+        path = tmp_path / "missing.csv"
+        with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+            main([*argv, f"trace:{path}", "--duration", "20"])
+        assert resolved == []
+        assert banner not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("time_s,rate_rps\n0,10\n2,ten\n", "line 3"),
+            ("time_s,load,hits\n0,10,1\n2,12,1\n", "no column 'rate_rps'"),
+        ],
+        ids=["non-numeric-row", "no-rate-column"],
+    )
+    def test_unloadable_trace_is_a_user_error(self, tmp_path, text, reason):
+        path = tmp_path / "offered.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as info:
+            main([
+                "run", "--traffic", f"trace:{path}", "--duration", "20",
+                "--clients", "60", "--no-report",
+            ])
+        assert str(path) in str(info.value)
+        assert reason in str(info.value)
 
 
 def _user_error(*argv) -> str:
