@@ -1,18 +1,20 @@
-"""P2 — suite worker spawn and warm-up overhead.
+"""P2 — suite worker start and warm-up overhead.
 
-Multi-worker sweeps pay a fixed cost per spawned worker: interpreter
-start, ``repro`` import, environment calibration and the transition
-matrices' stationary-distribution power iterations.  Before the warm-up
-work landed, each worker re-derived all of it lazily inside its first
-run (~1.5 s per worker serialized into the first wave of results);
-now ``warm_worker`` runs it in the pool initializer and the
-calibration / canonical-matrix caches keep it amortized across every
-run a worker executes.
+Multi-worker sweeps pay a fixed cost per worker: starting the process,
+environment calibration and the transition matrices'
+stationary-distribution power iterations.  Before the warm-up work
+landed, each worker re-derived all of it lazily inside its first run
+(~1.5 s per worker serialized into the first wave of results); now
+``warm_worker`` runs it in the pool initializer and the calibration /
+canonical-matrix caches keep it amortized across every run a worker
+executes.  Workers are forked from a server that has already imported
+``repro`` (:mod:`repro.processes`), so the import is paid once per
+interpreter, not once per worker.
 
 The bench measures the same 4-cell grid inline (``workers=1``, warm
-caches) and on a 2-worker spawn pool, and records both wall clocks
-plus the per-worker overhead estimate into ``extra_info`` so the BENCH
-trajectory catches spawn-cost regressions.
+caches) and on a 2-worker pool, and records both wall clocks plus the
+per-worker overhead estimate into ``extra_info`` so the BENCH
+trajectory catches worker-start regressions.
 
 Quick mode: ``REPRO_BENCH_QUICK=1`` shrinks the horizon (CI smoke).
 """

@@ -13,7 +13,8 @@ worker processes:
   only on *which* run it is — never on worker count, scheduling order
   or process reuse (the multiprocess-determinism invariant);
 * :func:`run_suite` executes the grid inline (``workers=1``) or on a
-  spawn-context process pool, returning one :class:`SuiteResult` whose
+  process pool forked from the package's forkserver
+  (:mod:`repro.processes`), returning one :class:`SuiteResult` whose
   merged per-run summaries and trace fingerprints are identical either
   way;
 * interference axes: grids may add consolidated (multi-tenant) runs
@@ -37,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import ExperimentConfig
 from repro.errors import ConfigurationError
+from repro.experiments.scenarios import default_duration_s
 from repro.monitoring.export import trace_set_sha256
 from repro.workloads.base import TenantSpec
 
@@ -347,8 +349,8 @@ def execute_run(
 def warm_worker() -> None:
     """Pre-pay a worker process's one-time warmup at pool start.
 
-    A spawned worker's first run otherwise imports the whole stack and
-    calibrates both environments lazily (~1.5 s per worker, see
+    A worker is forked with the stack already imported, but its first
+    run would otherwise calibrate both environments lazily (see
     PERFORMANCE.md); running this as the pool initializer overlaps that
     cost with pool startup and guarantees every later run in the worker
     hits the memoized calibration and matrix caches.  Pure warmup: it
@@ -366,7 +368,7 @@ def warm_worker() -> None:
 
 
 def _execute_payload(payload: dict) -> dict:
-    """Worker entry point: plain dict in, plain dict out (spawn-safe)."""
+    """Worker entry point: plain dict in, plain dict out."""
     run = SuiteRun(
         run_id=payload["run_id"],
         config=ExperimentConfig.from_dict(payload["config"]),
@@ -387,11 +389,14 @@ def run_suite(
     """Execute a suite grid and merge the per-run summaries.
 
     ``workers=1`` runs inline (no subprocesses).  With more workers the
-    runs execute on a ``spawn``-context process pool: each worker is a
-    fresh interpreter, receives configs as plain dicts and returns
-    summaries as plain dicts, so results cannot depend on inherited
-    process state.  Run ids, seeds and therefore traces are identical
-    across worker counts; only wall clock changes.
+    runs execute on a process pool: each worker is forked from a server
+    that only imported the package (:mod:`repro.processes`), receives
+    configs as plain dicts and returns summaries as plain dicts, so
+    results cannot depend on inherited process state.  A worker reads
+    no environment variable, so a config without a run length gets
+    :func:`~repro.experiments.scenarios.default_duration_s` here,
+    before it leaves.  Run ids, seeds and therefore traces are
+    identical across worker counts; only wall clock changes.
 
     ``diagnose=True`` turns the sweep into a chaos sweep: faulted
     cells run observed and their summaries carry a diagnosis (graded
@@ -414,20 +419,21 @@ def run_suite(
             for run in run_list
         ]
     else:
-        import multiprocessing
+        from repro.processes import worker_context
 
-        payloads = [
-            {
+        payloads = []
+        for run in run_list:
+            config = run.config.to_dict()
+            if config["duration_s"] is None:
+                config["duration_s"] = default_duration_s()
+            payloads.append({
                 "run_id": run.run_id,
-                "config": run.config.to_dict(),
+                "config": config,
                 "diagnose": diagnose,
                 "slo_ms": slo_ms,
-            }
-            for run in run_list
-        ]
-        context = multiprocessing.get_context("spawn")
+            })
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
+            max_workers=workers, mp_context=worker_context(),
             initializer=warm_worker,
         ) as pool:
             summaries = [

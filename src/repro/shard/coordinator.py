@@ -1,10 +1,13 @@
 """The shard coordinator: lockstep windows over worker processes.
 
 ``run_fleet`` partitions a :class:`~repro.shard.spec.FleetScenario`'s
-pods over ``shards`` worker processes (spawn context — each worker is
-a fresh interpreter receiving its pod set as plain dicts, the same
-multiprocess-determinism discipline as the suite runner) and advances
-every pod in lockstep windows:
+pods over ``shards`` worker processes and advances every pod in
+lockstep windows.  Each worker is forked from the package's forkserver
+(:func:`repro.processes.worker_context`), a process that has imported
+the stack but never built or run anything, and receives its pod set as
+plain dicts: the same multiprocess-determinism discipline as the suite
+runner.  The coordinator reads the environment for its workers, which
+read none.  Each window:
 
 1. each shard runs its pods to the next window boundary and sends
    their signals up (one message per shard per window — the
@@ -29,12 +32,14 @@ ShardWorkerError`.
 from __future__ import annotations
 
 import hashlib
+import os
 import queue as queue_module
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.shard.fabric import (
+    HANG_ENV,
     MSG_ERROR,
     MSG_RESULT,
     MSG_SIGNALS,
@@ -167,7 +172,7 @@ class PodGroup:
     """The per-shard runtime: build, step and command a set of pods.
 
     Both execution paths — the inline ``shards=1`` coordinator and a
-    spawned worker process — drive their pods through this one class,
+    forked worker process — drive their pods through this one class,
     so a pod performs the identical operation sequence wherever it
     runs.
     """
@@ -267,11 +272,11 @@ def _run_sharded(
     optimizer,
     timeout_s: float,
 ) -> Dict[str, dict]:
-    import multiprocessing
+    from repro.processes import worker_context
+    from repro.shard.worker import shard_main, worker_main
 
-    from repro.shard.worker import worker_main
-
-    context = multiprocessing.get_context("spawn")
+    context = worker_context()
+    hang = os.environ.get(HANG_ENV)
     fleet_data = fleet.to_dict()
     inboxes = []
     outboxes = []
@@ -280,8 +285,11 @@ def _run_sharded(
         inbox = context.Queue()
         outbox = context.Queue()
         process = context.Process(
-            target=worker_main,
-            args=(fleet_data, pod_names, shard, inbox, outbox),
+            target=shard_main,
+            args=(
+                hang == str(shard), worker_main,
+                fleet_data, pod_names, shard, inbox, outbox,
+            ),
             name=f"repro-shard-{shard}",
             daemon=True,
         )

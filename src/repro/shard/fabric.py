@@ -30,8 +30,10 @@ MSG_ERROR = "error"
 #: Message kind the coordinator sends down (coordinator -> worker).
 MSG_COMMANDS = "commands"
 
-#: Env hook for the heartbeat tests: a worker whose shard index equals
-#: this value hangs forever before its first window message.
+#: Env hook for the heartbeat tests: the worker whose shard index equals
+#: this value hangs forever before its first window message.  The
+#: coordinator reads it when it starts the workers and passes each a
+#: flag; a forked worker reads no environment variable.
 HANG_ENV = "REPRO_SHARD_TEST_HANG"
 
 

@@ -1,4 +1,4 @@
-"""Shard worker entry point (spawn-safe, plain data in and out).
+"""Shard worker entry points (plain data in and out).
 
 A worker process owns one shard's pods for the whole run: it rebuilds
 the :class:`~repro.shard.spec.FleetScenario` from its dict form,
@@ -7,28 +7,42 @@ and the pod name, so *which* worker builds it cannot matter), then
 alternates run-window / send-signals / receive-commands with the
 coordinator until the horizon, finishing with one ``result`` message.
 
+Workers are forked from the package's forkserver
+(:mod:`repro.processes`), a process that only imported the stack, so a
+worker reads no environment variable: the coordinator reads
+:data:`~repro.shard.fabric.HANG_ENV` and starts each process through
+:func:`shard_main` with a ``hang`` flag.
+
 Failures never hang the coordinator: any exception is caught and
-shipped up as an ``error`` message with the full traceback.  The
-``REPRO_SHARD_TEST_HANG`` env hook (value = a shard index) makes that
-worker sleep forever instead of sending its first window message —
-the deterministic way the tests exercise the heartbeat timeout.
+shipped up as an ``error`` message with the full traceback.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from typing import List
 
 from repro.shard.fabric import (
-    HANG_ENV,
     MSG_COMMANDS,
     error_message,
     result_message,
     signals_message,
 )
 from repro.shard.spec import FleetScenario
+
+
+def shard_main(hang: bool, target, *args) -> None:
+    """A shard process's entry: run ``target(*args)``, or hang.
+
+    ``hang`` is the heartbeat tests' hook: the worker sleeps forever
+    instead of sending its first window message.  ``target`` is the
+    ``worker_main`` the coordinator looked up when it started the run.
+    """
+    if hang:
+        while True:
+            time.sleep(3600.0)
+    target(*args)
 
 
 def worker_main(
@@ -40,9 +54,6 @@ def worker_main(
 ) -> None:
     """Run one shard's pods in lockstep with the coordinator."""
     try:
-        if os.environ.get(HANG_ENV) == str(shard):
-            while True:  # heartbeat-timeout test hook: never report in
-                time.sleep(3600.0)
         from repro.shard.coordinator import PodGroup
 
         fleet = FleetScenario.from_dict(fleet_data)

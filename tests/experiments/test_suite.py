@@ -165,6 +165,37 @@ class TestExecution:
         assert "merged sha256" in text
 
 
+class TestWorkerEnvironment:
+    def test_a_warm_pool_runs_the_callers_default_duration(
+        self, monkeypatch
+    ):
+        # A forked worker sees the environment its server started
+        # with, so the caller resolves the default run length.
+        monkeypatch.delenv("REPRO_FULL_DURATION", raising=False)
+        grid = dict(environments=("virtualized", "bare-metal"), clients=10)
+        run_suite(suite_grid(duration_s=20.0, **grid), workers=2)
+        monkeypatch.setenv("REPRO_FULL_DURATION", "1")
+        runs = suite_grid(seed=3, **grid)
+        pooled = run_suite(runs, workers=2)
+        inline = run_suite(runs, workers=1)
+
+        def simulated(suite):
+            return {
+                run_id: {
+                    k: v for k, v in summary.to_dict().items()
+                    if k != "wall_clock_s"
+                }
+                for run_id, summary in suite.summaries.items()
+            }
+
+        assert len(pooled.summaries) == 2
+        for suite in (pooled, inline):
+            assert all(
+                s.duration_s == 1200.0 for s in suite.summaries.values()
+            )
+        assert simulated(pooled) == simulated(inline)
+
+
 class TestConfigTenants:
     def test_config_round_trips_tenants_through_json(self):
         config = ExperimentConfig(

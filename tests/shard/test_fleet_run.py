@@ -89,3 +89,49 @@ class TestWorkerLifetime:
         with pytest.raises(ShardTimeoutError):
             run_fleet(_quick_fleet(), shards=2, heartbeat_timeout_s=3.0)
         assert multiprocessing.active_children() == []
+
+
+class TestWarmServer:
+    """Workers are forked from one preloaded server per interpreter."""
+
+    def test_the_caller_environment_reaches_a_warm_server(self, monkeypatch):
+        # The server keeps the environment it started with; the hang
+        # hook still follows the caller's, run by run.
+        monkeypatch.delenv(HANG_ENV, raising=False)
+        run_fleet(_quick_fleet(), shards=2)
+        monkeypatch.setenv(HANG_ENV, "1")
+        with pytest.raises(ShardTimeoutError) as info:
+            run_fleet(_quick_fleet(), shards=2, heartbeat_timeout_s=3.0)
+        assert info.value.shard == 1
+        monkeypatch.delenv(HANG_ENV)
+        assert run_fleet(_quick_fleet(), shards=2).requests_completed > 0
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc"
+    )
+    def test_the_server_preloads_without_pythonpath_and_exits_first(self):
+        # As perfbench/run.py does: ``src`` goes on sys.path in code.
+        # numpy is mapped into the server only if the repro preload
+        # imported; the server must be gone when the interpreter is.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {SRC!r})\n"
+            "from multiprocessing import forkserver\n"
+            "from repro.shard import datacenter_fleet, run_fleet\n"
+            "run_fleet(datacenter_fleet(seed=42, pods=2, duration_s=20.0,"
+            " clients=20), shards=2)\n"
+            "pid = forkserver._forkserver._forkserver_pid\n"
+            "with open(f'/proc/{pid}/maps') as maps:\n"
+            "    preloaded = '_multiarray_umath' in maps.read()\n"
+            "print(pid, preloaded)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        pid, preloaded = completed.stdout.split()
+        assert preloaded == "True"
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
