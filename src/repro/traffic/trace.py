@@ -21,6 +21,7 @@ import calendar
 import csv
 import hashlib
 import re
+import zipfile
 from typing import Optional, Sequence
 
 import numpy as np
@@ -309,7 +310,13 @@ class RateTrace:
     @classmethod
     def from_npz(cls, path: str, column: Optional[str] = None) -> "RateTrace":
         """Load from NPZ: the native layout or a columnar-matrix export."""
-        with np.load(path, allow_pickle=False) as data:
+        try:
+            archive = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as error:
+            raise AnalysisError(f"{path}: not an NPZ archive") from error
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise AnalysisError(f"{path}: not an NPZ archive (a bare array)")
+        with archive as data:
             if "columns" in data and "matrix" in data:
                 names = [str(name) for name in data["columns"]]
                 matrix = np.asarray(data["matrix"], dtype=float)

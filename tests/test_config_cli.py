@@ -692,6 +692,23 @@ class TestTraceTrafficErrors:
         assert str(path) in str(info.value)
         assert reason in str(info.value)
 
+    @pytest.mark.parametrize("kind", ["garbage-bytes", "bare-npy"])
+    def test_file_that_is_not_an_npz_archive_is_a_user_error(
+        self, tmp_path, kind
+    ):
+        path = tmp_path / "offered.npz"
+        if kind == "garbage-bytes":
+            path.write_bytes(b"garbage")
+        else:
+            with open(path, "wb") as handle:
+                np.save(handle, np.arange(4.0))
+        with pytest.raises(ConfigurationError) as info:
+            main([
+                "run", "--traffic", f"trace:{path}", "--duration", "20",
+                "--clients", "60", "--no-report",
+            ])
+        assert f"{path}: not an NPZ archive" in str(info.value)
+
 
 def _user_error(*argv) -> str:
     """The one stderr line ``python -m repro`` exits 2 with."""
