@@ -2,9 +2,9 @@
 """Re-pin the per-engine baseline fingerprints.
 
 Runs every baseline cell (the paper's 2x2 closed-loop matrix plus the
-open-loop poisson cell) under both engines, and the batched path cells
-(faults, a budgeted traced flash crowd, a migrating crash drill) under
-the batched engine, and writes their fingerprints to
+open-loop poisson cell) and the path cells (faults, a budgeted traced
+flash crowd, a migrating crash drill) under both engines, and writes
+their fingerprints to
 ``tests/baselines/engine_fingerprints.json``, which
 ``tests/integration/test_engine_equivalence.py`` enforces.  Its
 ``registry`` section pins the full 518-metric registry of three more
@@ -60,7 +60,8 @@ def compute_document() -> dict:
         "seed": BASELINE_SEED,
         "open_rate_rps": BASELINE_OPEN_RATE_RPS,
         "engines": {engine: fingerprint_engine(engine) for engine in ENGINES},
-        "batched_paths": fingerprint_paths(),
+        "batched_paths": fingerprint_paths("batched"),
+        "classic_paths": fingerprint_paths("classic"),
         "registry": fingerprint_registry(),
         "admission": fingerprint_admission(),
     }
@@ -69,7 +70,8 @@ def compute_document() -> dict:
 def _cells(document: dict) -> dict:
     """Every fingerprint of a document, keyed ``"<group> <cell>"``."""
     groups = dict(document.get("engines", {}))
-    groups["batched_paths"] = document.get("batched_paths", {})
+    for paths in ("batched_paths", "classic_paths"):
+        groups[paths] = document.get(paths, {})
     groups["registry"] = document.get("registry", {})
     groups["admission"] = document.get("admission", {})
     return {

@@ -120,8 +120,12 @@ class QueueingStation:
             # starts immediately, so the enqueue/dequeue round trip and
             # the zero wait-time accounting are skipped.  The observed
             # backlog of 1 matches the queued path, which counts the job
-            # between its append and the dispatch pop.
-            stats.observe_backlog(1)
+            # between its append and the dispatch pop; it is recorded
+            # inline (StationStats.observe_backlog(1)).
+            if stats.peak_backlog < 1:
+                stats.peak_backlog = 1
+            stats.backlog_sum += 1
+            stats._observations += 1
             occupancy = busy + 1
             if occupancy > self._window_peak:
                 self._window_peak = occupancy

@@ -6,7 +6,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-_request_ids = itertools.count(1)
+#: Process-wide request ids, 1, 2, ...: the counter's own ``__next__``
+#: is the default factory, so building a request runs no Python frame
+#: for its id.
+_next_request_id = itertools.count(1).__next__
 
 
 @dataclass(slots=True)
@@ -58,7 +61,7 @@ class Request:
     interaction: str
     demand: ResourceDemand
     created_at: float
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_next_request_id)
     web_started_at: Optional[float] = None
     db_started_at: Optional[float] = None
     completed_at: Optional[float] = None

@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from repro.errors import ConfigurationError
-from repro.hardware.disk import DiskRequest
+from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.server import PhysicalServer
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
 from repro.units import MB
 from repro.virt.domain import Domain
 from repro.virt.hypervisor import Hypervisor
+from repro.virt.io_backend import DOM0_OWNER
 
 
 class ExecutionContext:
@@ -54,8 +54,13 @@ class ExecutionContext:
     def charge_cpu(self, cycles: float) -> None:
         raise NotImplementedError
 
-    def account_request(self, scale: float = 1.0) -> None:
-        """Per-request kernel/hypervisor fixed cost hook."""
+    def begin_service(self, cycles: float, scale: float) -> float:
+        """Start one service of ``cycles``; return its :meth:`cpu_time`.
+
+        Charges the per-request kernel/hypervisor fixed cost (scaled by
+        ``scale``), then ``cycles`` to this context's owner, in one
+        call: the tiers make it at every service start.
+        """
         raise NotImplementedError
 
     def account_commit(self) -> None:
@@ -138,27 +143,36 @@ class VirtualizedContext(ExecutionContext):
         self._bind(hypervisor)
 
     def _bind(self, hypervisor: Hypervisor) -> None:
+        """Prebind the request path to ``hypervisor``, one frame a call.
+
+        The bound callables cache identities and model constants only.
+        The scheduler fraction (which every ``allocate`` replaces), the
+        worker gauge and the device parameters and busy times are read
+        at each call, because epochs, faults and controllers change
+        them mid-run.
+        """
         self.hypervisor = hypervisor
         domain = self.domain
-        # The request path crosses this adapter for every service start;
-        # the fixed (hypervisor, domain) targets are prebound so each
-        # crossing costs one frame instead of a delegation chain
-        # (ExecutionContext documents the contracts they implement).
-        self.charge_cpu = partial(
-            hypervisor.server.cpu.ledger.charge, domain.owner
+        owner = domain.owner
+        cpu = hypervisor.server.cpu
+        self.charge_cpu = partial(cpu.ledger.charge, owner)
+        self.disk_read, self.disk_write = hypervisor.block_backend.hops(owner)
+        self.net_receive, self.net_transmit = (
+            hypervisor.net_backend.hops(owner)
         )
-        self.account_request = partial(hypervisor.account_request, domain)
-        speed_fraction = hypervisor.scheduler.speed_fraction
-        service_time = hypervisor.server.cpu.service_time
+        scheduler = hypervisor.scheduler
+        speed_fraction = scheduler.speed_fraction
+        service_time = cpu.service_time
         domain_name = domain.name
+        # Elasticity-experiment refinement: workers runnable beyond the
+        # online VCPUs time-share them, so each runs at ``online /
+        # workers`` of the scheduler-granted speed.  Sampled at service
+        # start like the scheduler fraction.
+        contention = hypervisor.vcpu_contention
 
-        if hypervisor.vcpu_contention:
-            # Elasticity-experiment refinement: workers runnable beyond
-            # the online VCPUs time-share them, so each runs at
-            # ``online / workers`` of the scheduler-granted speed.
-            # Sampled at service start like the scheduler fraction.
-            def cpu_time(cycles: float) -> float:
-                fraction = speed_fraction(domain_name)
+        def cpu_time(cycles: float) -> float:
+            fraction = speed_fraction(domain_name)
+            if contention:
                 workers = domain.active_workers
                 # A single worker can never exceed its VCPU (>= 1), so
                 # the online count — a sum over the VCPU list — is only
@@ -167,40 +181,55 @@ class VirtualizedContext(ExecutionContext):
                     online = domain.online_vcpus
                     if workers > online:
                         fraction *= online / workers
-                return service_time(cycles, fraction)
-
-        else:
-
-            def cpu_time(cycles: float) -> float:
-                return service_time(cycles, speed_fraction(domain_name))
+            return service_time(cycles, fraction)
 
         self.cpu_time = cpu_time
         # Uncontended reference (speed fraction 1.0) for the tracing
         # layer; prebound so a traced service costs one extra call.
         self.pure_cpu_time = service_time
-        sim = hypervisor.sim
-        owner = domain.owner
-        block = hypervisor.block_backend
-        net = hypervisor.net_backend
-        block_read, block_write = block.read, block.write
-        net_rx, net_tx = net.receive, net.transmit
+        ledger = cpu.ledger._cycles
+        request_cycles = hypervisor.overhead.hypercall_cycles_per_request
 
-        def disk_read(size_bytes: float) -> float:
-            return block_read(sim.now, owner, size_bytes)
+        def begin_service(cycles: float, scale: float) -> float:
+            # Hypercalls and event channels land in dom0; the service
+            # time is cpu_time's, with CycleLedger.charge and
+            # CpuPackage.service_time inlined.
+            dom0_cycles = request_cycles * scale
+            if dom0_cycles < 0:
+                raise CapacityError(
+                    f"negative cycle charge {dom0_cycles} for {DOM0_OWNER!r}"
+                )
+            if cycles < 0:
+                raise CapacityError(
+                    f"negative cycle charge {cycles} for {owner!r}"
+                )
+            hypervisor.requests_accounted += 1
+            try:
+                ledger[DOM0_OWNER] += dom0_cycles
+            except KeyError:
+                ledger[DOM0_OWNER] = dom0_cycles
+            try:
+                ledger[owner] += cycles
+            except KeyError:
+                ledger[owner] = cycles
+            try:
+                fraction = scheduler._fractions[domain_name]
+            except KeyError:
+                fraction = speed_fraction(domain_name)
+            if contention:
+                workers = domain.active_workers
+                if workers > 1:
+                    online = domain.online_vcpus
+                    if workers > online:
+                        fraction *= online / workers
+            cores = cpu.cores
+            if not 0 < fraction <= cores:
+                raise CapacityError(
+                    f"speed_fraction {fraction} outside (0, {cores}]"
+                )
+            return cycles / (cpu.frequency_hz * fraction)
 
-        def disk_write(size_bytes: float) -> float:
-            return block_write(sim.now, owner, size_bytes)
-
-        def net_receive(size_bytes: float) -> float:
-            return net_rx(sim.now, owner, size_bytes)
-
-        def net_transmit(size_bytes: float) -> float:
-            return net_tx(sim.now, owner, size_bytes)
-
-        self.disk_read = disk_read
-        self.disk_write = disk_write
-        self.net_receive = net_receive
-        self.net_transmit = net_transmit
+        self.begin_service = begin_service
 
     def rebind(self, hypervisor: Hypervisor) -> None:
         """Re-target the prebound fast paths at a new hypervisor.
@@ -294,12 +323,131 @@ class BareMetalContext(ExecutionContext):
         self.os_model = os_model or OsActivityModel()
         # Same prebound fast path as VirtualizedContext.charge_cpu.
         self.charge_cpu = partial(server.cpu.ledger.charge, owner)
+        self._bind()
         self._housekeeping = PeriodicProcess(
             sim,
             self.HOUSEKEEPING_INTERVAL_S,
             self._run_housekeeping,
             name=f"os-housekeeping:{owner}",
         ).start()
+
+    def _bind(self) -> None:
+        """Prebind the request path, one frame a call.
+
+        The host OS scales the logical bytes by its accounting factors
+        and queues them on the server's own devices under this
+        context's owner: :meth:`Disk.submit
+        <repro.hardware.disk.Disk.submit>`, :meth:`NetworkInterface.receive
+        <repro.hardware.network.NetworkInterface.receive>` / ``transmit``
+        and :meth:`CycleLedger.charge
+        <repro.hardware.cpu.CycleLedger.charge>` inlined.  Like the
+        virtualized hops, only identities and model constants are
+        bound; device parameters and busy times are read at each call.
+        """
+        sim = self.sim
+        owner = self.owner
+        cpu, disk, nic = self.server.cpu, self.server.disk, self.server.nic
+        os_model = self.os_model
+        ledger = cpu.ledger._cycles
+        request_cycles = os_model.syscall_cycles_per_request
+
+        def begin_service(cycles: float, scale: float) -> float:
+            syscall_cycles = request_cycles * scale
+            if syscall_cycles < 0:
+                raise CapacityError(
+                    f"negative cycle charge {syscall_cycles} for {owner!r}"
+                )
+            if cycles < 0:
+                raise CapacityError(
+                    f"negative cycle charge {cycles} for {owner!r}"
+                )
+            try:
+                ledger[owner] += syscall_cycles
+            except KeyError:
+                ledger[owner] = syscall_cycles
+            ledger[owner] += cycles
+            # No hypervisor: bare-metal service runs at a whole core.
+            return cycles / cpu.frequency_hz
+
+        disk_factor = os_model.disk_accounting_factor
+        bytes_read, bytes_written = disk._bytes_read, disk._bytes_written
+
+        def disk_read(size_bytes: float) -> float:
+            if size_bytes < 0:
+                raise CapacityError("I/O size must be non-negative")
+            physical = size_bytes * disk_factor
+            now = sim.now
+            busy = disk._busy_until
+            start = now if now > busy else busy
+            completion = start + (
+                disk.access_latency_s + physical / disk.read_bandwidth_bps
+            )
+            disk._busy_until = completion
+            disk.requests_served += 1
+            try:
+                bytes_read[owner] += physical
+            except KeyError:
+                bytes_read[owner] = physical
+            return completion
+
+        def disk_write(size_bytes: float) -> float:
+            # Not batched: each logical write hits the device.
+            if size_bytes < 0:
+                raise CapacityError("I/O size must be non-negative")
+            physical = size_bytes * disk_factor
+            now = sim.now
+            busy = disk._busy_until
+            start = now if now > busy else busy
+            completion = start + (
+                disk.access_latency_s + physical / disk.write_bandwidth_bps
+            )
+            disk._busy_until = completion
+            disk.requests_served += 1
+            try:
+                bytes_written[owner] += physical
+            except KeyError:
+                bytes_written[owner] = physical
+            return completion
+
+        net_factor = os_model.net_accounting_factor
+        rx_bytes, tx_bytes = nic._rx_bytes, nic._tx_bytes
+        packets = nic.packets
+
+        def net_receive(size_bytes: float) -> float:
+            if size_bytes < 0:
+                raise CapacityError("transfer size must be non-negative")
+            physical = size_bytes * net_factor
+            now = sim.now
+            busy = nic._rx_busy_until
+            start = now if now > busy else busy
+            completion = start + physical / nic.bandwidth_bps
+            nic._rx_busy_until = completion
+            try:
+                rx_bytes[owner] += physical
+            except KeyError:
+                rx_bytes[owner] = physical
+            packets["rx"] += 1
+            return completion
+
+        def net_transmit(size_bytes: float) -> float:
+            if size_bytes < 0:
+                raise CapacityError("transfer size must be non-negative")
+            physical = size_bytes * net_factor
+            now = sim.now
+            busy = nic._tx_busy_until
+            start = now if now > busy else busy
+            completion = start + physical / nic.bandwidth_bps
+            nic._tx_busy_until = completion
+            try:
+                tx_bytes[owner] += physical
+            except KeyError:
+                tx_bytes[owner] = physical
+            packets["tx"] += 1
+            return completion
+
+        self.begin_service = begin_service
+        self.disk_read, self.disk_write = disk_read, disk_write
+        self.net_receive, self.net_transmit = net_receive, net_transmit
 
     def cpu_time(self, cycles: float) -> float:
         return self.server.cpu.service_time(cycles)
@@ -308,31 +456,8 @@ class BareMetalContext(ExecutionContext):
         # No hypervisor: bare-metal service already runs uncontended.
         return self.server.cpu.service_time(cycles)
 
-    def account_request(self, scale: float = 1.0) -> None:
-        self.server.cpu.charge(
-            self.owner, self.os_model.syscall_cycles_per_request * scale
-        )
-
     def account_commit(self) -> None:
         self.server.cpu.charge(self.owner, self.os_model.commit_cycles)
-
-    def disk_read(self, size_bytes: float) -> float:
-        physical = size_bytes * self.os_model.disk_accounting_factor
-        request = DiskRequest(self.owner, "read", physical)
-        return self.server.disk.submit(self.sim.now, request)
-
-    def disk_write(self, size_bytes: float) -> float:
-        physical = size_bytes * self.os_model.disk_accounting_factor
-        request = DiskRequest(self.owner, "write", physical)
-        return self.server.disk.submit(self.sim.now, request)
-
-    def net_receive(self, size_bytes: float) -> float:
-        physical = size_bytes * self.os_model.net_accounting_factor
-        return self.server.nic.receive(self.sim.now, self.owner, physical)
-
-    def net_transmit(self, size_bytes: float) -> float:
-        physical = size_bytes * self.os_model.net_accounting_factor
-        return self.server.nic.transmit(self.sim.now, self.owner, physical)
 
     def set_memory(self, used_bytes: float) -> None:
         self.server.memory.set_usage(self.owner, used_bytes)

@@ -20,9 +20,10 @@ and ``tests/integration/test_engine_equivalence.py`` (which enforces
 all three).
 
 The paper cells exercise no fault, budget, request trace or migration.
-:func:`path_cells` adds three batched cells that do, pinned for
-self-determinism only: the engines still disagree under contention, so
-they carry no cross-engine bound.
+:func:`path_cells` adds three cells that do, pinned on each engine
+apart: the engines still disagree under contention, so they carry no
+cross-engine bound.  The classic pins are the only ones that see a
+device parameter change or a ``rebind`` on the classic request path.
 
 :func:`result_fingerprint` hashes the core series only, so no pin
 above sees a value of the 518-metric registry.  :func:`registry_cells`
@@ -108,8 +109,8 @@ def baseline_scenarios(engine: str = "classic") -> Dict[str, Scenario]:
     return cells
 
 
-def path_cells() -> Dict[str, Scenario]:
-    """Batched cells that pin the request paths the paper cells skip.
+def path_cells(engine: str = "batched") -> Dict[str, Scenario]:
+    """Cells on ``engine`` that pin the request paths the paper cells skip.
 
     * a virtualized browsing run whose NIC and then disk degrade
       mid-run (device parameters change between drains);
@@ -118,7 +119,12 @@ def path_cells() -> Dict[str, Scenario]:
       retries, a controller resizing the VMs, span reconstruction);
     * the crash drill, which evacuates ``db-vm`` and ``web-vm`` to the
       survivor, so both RUBiS contexts rebind to a new hypervisor.
+
+    The factories build classic specs, which :func:`with_engine` moves
+    to ``engine`` (it returns any spec unchanged for classic).
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     degraded = replace(
         scenario(
             "virtualized", "browsing", duration_s=60.0, seed=BASELINE_SEED
@@ -144,7 +150,7 @@ def path_cells() -> Dict[str, Scenario]:
         "autoscaled_flash_crowd/cap_theft/traced": flash,
         "detect_and_evacuate": drill,
     }
-    return {cell: with_engine(spec, "batched") for cell, spec in cells.items()}
+    return {cell: with_engine(spec, engine) for cell, spec in cells.items()}
 
 
 def registry_cells() -> Dict[str, Scenario]:
@@ -294,13 +300,13 @@ def fingerprint_engine(engine: str) -> Dict[str, str]:
     }
 
 
-def fingerprint_paths() -> Dict[str, str]:
-    """Run every :func:`path_cells` cell and fingerprint it."""
+def fingerprint_paths(engine: str = "batched") -> Dict[str, str]:
+    """Run every :func:`path_cells` cell on ``engine`` and fingerprint it."""
     from repro.experiments.runner import run_scenario
 
     return {
         cell: result_fingerprint(run_scenario(spec))
-        for cell, spec in path_cells().items()
+        for cell, spec in path_cells(engine).items()
     }
 
 

@@ -200,11 +200,9 @@ class Deployment:
                 "net.request", sim.now, transfer + self._lat_client_web
             )
         sim.schedule(
-            transfer + self._lat_client_web, self._web_arrive, request
+            transfer + self._lat_client_web,
+            self.php_tier.handle, request, self._web_done,
         )
-
-    def _web_arrive(self, request: Request) -> None:
-        self.php_tier.handle(request, self._web_done)
 
     def _web_done(self, request: Request) -> None:
         demand = request.demand
@@ -219,13 +217,11 @@ class Deployment:
                     "net.query", sim.now, transfer + self._lat_web_db
                 )
             sim.schedule(
-                transfer + self._lat_web_db, self._db_arrive, request
+                transfer + self._lat_web_db,
+                self.mysql_tier.handle, request, self._db_done,
             )
         else:
             self._respond(request)
-
-    def _db_arrive(self, request: Request) -> None:
-        self.mysql_tier.handle(request, self._db_done)
 
     def _db_done(self, request: Request) -> None:
         demand = request.demand

@@ -70,9 +70,9 @@ class MysqlTier:
         context = self.context
         request.db_started_at = self.sim.now
         demand = request.demand
-        context.account_request(self.config.request_account_scale)
-        context.charge_cpu(demand.db_cycles)
-        duration = context.cpu_time(demand.db_cycles)
+        duration = context.begin_service(
+            demand.db_cycles, self.config.request_account_scale
+        )
         if request.trace is not None:
             request.trace.add_cpu(
                 "cpu.db",

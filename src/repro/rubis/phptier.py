@@ -67,10 +67,10 @@ class PhpTier:
         request = job[0]
         context = self.context
         request.web_started_at = self.sim.now
-        context.account_request(self.config.request_account_scale)
         cycles = request.demand.web_cycles
-        context.charge_cpu(cycles)
-        duration = context.cpu_time(cycles)
+        duration = context.begin_service(
+            cycles, self.config.request_account_scale
+        )
         if request.trace is not None:
             request.trace.add_cpu(
                 "cpu.web",

@@ -343,7 +343,10 @@ def _run_sharded(
             if process.is_alive():
                 process.terminate()
         for process in workers:
-            process.join(timeout=5.0)
+            # A worker whose start() raised has no pid; joining it would
+            # replace the start error with an AssertionError.
+            if process.pid is not None:
+                process.join(timeout=5.0)
 
 
 def _receive(outbox, shard, pod_names, timeout_s, window_index, process):

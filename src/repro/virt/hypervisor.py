@@ -10,9 +10,10 @@ One :class:`Hypervisor` runs per virtualized physical server.  It owns
 * dom0's memory model, which follows every change of a guest's memory
   (:meth:`Hypervisor.set_vm_memory`, :meth:`Hypervisor.detach_domain`),
 
-and exposes the execution interface the application tiers use:
-``cpu_time`` / ``charge_vm_cycles`` / ``disk_read`` / ``disk_write`` /
-``net_receive`` / ``net_transmit`` / ``set_vm_memory``.
+and the pieces the application tiers' execution contexts bind their
+request path to (:class:`~repro.apps.tier.VirtualizedContext`): the
+scheduler's speed fractions, the backends' per-guest hops, the ledger,
+and :meth:`~Hypervisor.account_commit` / :meth:`~Hypervisor.set_vm_memory`.
 
 It also exposes the *runtime actuators* the elastic-control subsystem
 (:mod:`repro.control`) drives mid-run: VCPU hotplug/unplug
@@ -119,6 +120,9 @@ class Hypervisor:
         self._billed_gb_s: Dict[str, float] = {}
         self._bill_marks: Dict[str, float] = {}
         self._domains: Dict[str, Domain] = {}
+        #: Guest ledger owners in domain-table order: dom0's memory
+        #: follows their sum on every guest memory change.
+        self._guest_owners: List[str] = []
         self.dom0 = Domain(
             "Domain-0",
             kind=DomainKind.DOM0,
@@ -168,6 +172,7 @@ class Hypervisor:
         )
         domain.on_wake = self._epoch_process.wake
         self._domains[name] = domain
+        self._guest_owners.append(domain.owner)
         self._bill_marks[name] = self.sim.now
         return domain
 
@@ -205,6 +210,7 @@ class Hypervisor:
         self._accrue_billing(domain)
         domain.on_wake = None
         del self._domains[name]
+        self._guest_owners.remove(owner)
         del self._bill_marks[name]
         self.server.memory.set_usage(owner, 0.0)
         self._update_dom0_memory()
@@ -226,6 +232,7 @@ class Hypervisor:
             )
         domain.on_wake = self._epoch_process.wake
         self._domains[domain.name] = domain
+        self._guest_owners.append(domain.owner)
         self._bill_marks[domain.name] = self.sim.now
         owner = domain.owner
         ledger = self.server.cpu.ledger
@@ -249,44 +256,11 @@ class Hypervisor:
     def guest_domains(self):
         return [d for d in self._domains.values() if d.kind is DomainKind.GUEST]
 
-    # -- CPU execution interface ----------------------------------------------
-
-    def cpu_time(self, domain: Domain, cycles: float) -> float:
-        """Wall time for ``cycles`` of guest work at the current allocation."""
-        fraction = self.scheduler.speed_fraction(domain.name)
-        return self.server.cpu.service_time(cycles, fraction)
-
-    def charge_vm_cycles(self, domain: Domain, cycles: float) -> None:
-        """Account guest-visible cycles to the domain's ledger owner."""
-        self.server.cpu.charge(domain.owner, cycles)
-
-    def account_request(self, domain: Domain, hypercall_scale: float = 1.0) -> None:
-        """Charge dom0 for the event channels/hypercalls of one request."""
-        self.requests_accounted += 1
-        self.server.cpu.charge(
-            DOM0_OWNER,
-            self.overhead.hypercall_cycles_per_request * hypercall_scale,
-        )
+    # -- execution interface ----------------------------------------------------
 
     def account_commit(self, domain: Domain) -> None:
         """Charge dom0 for one guest database commit (barrier + fsync)."""
         self.server.cpu.charge(DOM0_OWNER, self.overhead.commit_cycles)
-
-    # -- I/O interface ----------------------------------------------------------
-
-    def disk_read(self, domain: Domain, size_bytes: float) -> float:
-        """Synchronous guest read; returns completion time."""
-        return self.block_backend.read(self.sim.now, domain.owner, size_bytes)
-
-    def disk_write(self, domain: Domain, size_bytes: float) -> float:
-        """Guest write (batched by the backend); returns completion time."""
-        return self.block_backend.write(self.sim.now, domain.owner, size_bytes)
-
-    def net_receive(self, domain: Domain, size_bytes: float) -> float:
-        return self.net_backend.receive(self.sim.now, domain.owner, size_bytes)
-
-    def net_transmit(self, domain: Domain, size_bytes: float) -> float:
-        return self.net_backend.transmit(self.sim.now, domain.owner, size_bytes)
 
     # -- memory interface ---------------------------------------------------------
 
@@ -304,9 +278,8 @@ class Hypervisor:
         return self.server.memory.usage(DOM0_OWNER)
 
     def _update_dom0_memory(self) -> None:
-        guest_used = sum(
-            self.server.memory.usage(d.owner) for d in self.guest_domains()
-        )
+        usage = self.server.memory.usage
+        guest_used = sum(usage(owner) for owner in self._guest_owners)
         dom0_used = (
             self.overhead.dom0_base_memory_bytes
             + self.overhead.dom0_memory_per_vm_byte * guest_used

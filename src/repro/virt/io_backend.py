@@ -10,13 +10,24 @@ device access.  Two measurement-relevant consequences, both modelled:
   writes, batched traffic;
 * dom0 burns CPU per byte moved, which is the dominant contributor to
   the dom0 CPU series of Figure 1.
+
+A guest reaches a backend through per-owner *hops* (:meth:`BlockBackend.hops`,
+:meth:`NetBackend.hops`): one call counts the guest bytes, amplifies
+them, charges dom0 and serializes the physical bytes on the device, the
+arithmetic of :meth:`CycleLedger.charge <repro.hardware.cpu.CycleLedger.charge>`,
+:meth:`Disk.submit <repro.hardware.disk.Disk.submit>` and
+:meth:`NetworkInterface.receive <repro.hardware.network.NetworkInterface.receive>`
+/ ``transmit`` inlined, because every request crosses several of them.
+A hop binds identities (the device, the counter dicts) and the
+backend's constants only; device bandwidths, latency and busy times are
+read at each call, because faults change them mid-run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.hardware.cpu import CpuPackage
 from repro.hardware.disk import Disk, DiskRequest
 from repro.hardware.network import NetworkInterface
@@ -25,6 +36,10 @@ from repro.sim.process import PeriodicProcess
 from repro.virt.overhead import OverheadModel
 
 DOM0_OWNER = "dom0"
+
+#: A guest's (inbound, outbound) hops: each takes the logical size in
+#: bytes and returns the completion time.
+Hops = Tuple[Callable[[float], float], Callable[[float], float]]
 
 
 class BlockBackend:
@@ -46,8 +61,7 @@ class BlockBackend:
         self.disk = disk
         self.cpu = cpu
         self.overhead = overhead
-        # Hot-path bindings: constants and the ledger charge method,
-        # resolved once instead of per I/O.
+        # Read by the hops and by the batched engine's drains.
         self._amplification = overhead.disk_amplification
         self._cycles_per_byte = overhead.disk_cycles_per_byte
         self._charge = cpu.ledger.charge
@@ -90,42 +104,85 @@ class BlockBackend:
 
     # -- I/O path ------------------------------------------------------------
 
-    def read(self, now: float, owner: str, size_bytes: float) -> float:
-        """Synchronous guest read; returns completion time.
+    def hops(self, owner: str) -> Hops:
+        """``owner``'s (read, write) hops; see the module docstring.
 
-        Reads cannot be deferred (the guest blocks on the data), so they
-        go to the physical disk immediately, amplified by metadata reads.
+        Reads cannot be deferred (the guest blocks on the data), so a
+        read goes to the physical disk at once, amplified by metadata
+        reads, and returns its completion.  With batching enabled a
+        write completes as soon as the backend buffers it (like a
+        page-cache write) and reaches the disk at the next flush;
+        without batching (ablation A2) it is queued on the disk at once.
         """
-        counters = self._vm_read
-        try:
-            counters[owner] += size_bytes
-        except KeyError:
-            counters[owner] = size_bytes
-        physical = size_bytes * self._amplification
-        self._charge(DOM0_OWNER, physical * self._cycles_per_byte)
-        request = DiskRequest(DOM0_OWNER, "read", physical)
-        return self.disk.submit(now, request)
+        sim = self.sim
+        disk = self.disk
+        dom0 = self.cpu.ledger._cycles
+        amplification = self._amplification
+        cycles_per_byte = self._cycles_per_byte
+        guest_read, guest_written = self._vm_read, self._vm_written
+        disk_read, disk_written = disk._bytes_read, disk._bytes_written
 
-    def write(self, now: float, owner: str, size_bytes: float) -> float:
-        """Guest write; returns the time the guest considers it done.
+        def read(size_bytes: float) -> float:
+            if size_bytes < 0:
+                raise CapacityError("I/O size must be non-negative")
+            try:
+                guest_read[owner] += size_bytes
+            except KeyError:
+                guest_read[owner] = size_bytes
+            physical = size_bytes * amplification
+            cycles = physical * cycles_per_byte
+            try:
+                dom0[DOM0_OWNER] += cycles
+            except KeyError:
+                dom0[DOM0_OWNER] = cycles
+            now = sim.now
+            busy = disk._busy_until
+            start = now if now > busy else busy
+            completion = start + (
+                disk.access_latency_s + physical / disk.read_bandwidth_bps
+            )
+            disk._busy_until = completion
+            disk.requests_served += 1
+            try:
+                disk_read[DOM0_OWNER] += physical
+            except KeyError:
+                disk_read[DOM0_OWNER] = physical
+            return completion
 
-        With batching enabled the guest write completes as soon as the
-        backend buffers it (like a page-cache write); the physical write
-        happens at the next flush.  Without batching (ablation A2) it is
-        forwarded immediately.
-        """
-        counters = self._vm_written
-        try:
-            counters[owner] += size_bytes
-        except KeyError:
-            counters[owner] = size_bytes
-        physical = size_bytes * self._amplification
-        self._charge(DOM0_OWNER, physical * self._cycles_per_byte)
-        if self.overhead.batch_writes:
-            self._pending_write_bytes += physical
-            return now
-        request = DiskRequest(DOM0_OWNER, "write", physical)
-        return self.disk.submit(now, request)
+        batch_writes = self.overhead.batch_writes
+        backend = self
+
+        def write(size_bytes: float) -> float:
+            if size_bytes < 0:
+                raise CapacityError("I/O size must be non-negative")
+            try:
+                guest_written[owner] += size_bytes
+            except KeyError:
+                guest_written[owner] = size_bytes
+            physical = size_bytes * amplification
+            cycles = physical * cycles_per_byte
+            try:
+                dom0[DOM0_OWNER] += cycles
+            except KeyError:
+                dom0[DOM0_OWNER] = cycles
+            now = sim.now
+            if batch_writes:
+                backend._pending_write_bytes += physical
+                return now
+            busy = disk._busy_until
+            start = now if now > busy else busy
+            completion = start + (
+                disk.access_latency_s + physical / disk.write_bandwidth_bps
+            )
+            disk._busy_until = completion
+            disk.requests_served += 1
+            try:
+                disk_written[DOM0_OWNER] += physical
+            except KeyError:
+                disk_written[DOM0_OWNER] = physical
+            return completion
+
+        return read, write
 
     def dom0_write(self, now: float, size_bytes: float) -> float:
         """Dom0's own writes (its logs); never batched with guest I/O."""
@@ -159,7 +216,7 @@ class NetBackend:
         self.nic = nic
         self.cpu = cpu
         self.overhead = overhead
-        # Hot-path bindings, resolved once instead of per transfer.
+        # Read by the hops and by the batched engine's drains.
         self._amplification = overhead.net_amplification
         self._cycles_per_byte = overhead.net_cycles_per_byte
         self._charge = cpu.ledger.charge
@@ -188,28 +245,68 @@ class NetBackend:
 
     # -- transfer path --------------------------------------------------------
 
-    def receive(self, now: float, owner: str, size_bytes: float) -> float:
-        """Ingress to a guest through the bridge; returns completion time."""
-        if size_bytes < 0:
-            raise ConfigurationError("transfer size must be non-negative")
-        counters = self._vm_rx
-        try:
-            counters[owner] += size_bytes
-        except KeyError:
-            counters[owner] = size_bytes
-        physical = size_bytes * self._amplification
-        self._charge(DOM0_OWNER, physical * self._cycles_per_byte)
-        return self.nic.receive(now, DOM0_OWNER, physical)
+    def hops(self, owner: str) -> Hops:
+        """``owner``'s (receive, transmit) hops through the bridge.
 
-    def transmit(self, now: float, owner: str, size_bytes: float) -> float:
-        """Egress from a guest through the bridge; returns completion time."""
-        if size_bytes < 0:
-            raise ConfigurationError("transfer size must be non-negative")
-        counters = self._vm_tx
-        try:
-            counters[owner] += size_bytes
-        except KeyError:
-            counters[owner] = size_bytes
-        physical = size_bytes * self._amplification
-        self._charge(DOM0_OWNER, physical * self._cycles_per_byte)
-        return self.nic.transmit(now, DOM0_OWNER, physical)
+        See the module docstring; each returns the NIC completion time.
+        """
+        sim = self.sim
+        nic = self.nic
+        dom0 = self.cpu.ledger._cycles
+        amplification = self._amplification
+        cycles_per_byte = self._cycles_per_byte
+        guest_rx, guest_tx = self._vm_rx, self._vm_tx
+        nic_rx, nic_tx = nic._rx_bytes, nic._tx_bytes
+        packets = nic.packets
+
+        def receive(size_bytes: float) -> float:
+            if size_bytes < 0:
+                raise ConfigurationError("transfer size must be non-negative")
+            try:
+                guest_rx[owner] += size_bytes
+            except KeyError:
+                guest_rx[owner] = size_bytes
+            physical = size_bytes * amplification
+            cycles = physical * cycles_per_byte
+            try:
+                dom0[DOM0_OWNER] += cycles
+            except KeyError:
+                dom0[DOM0_OWNER] = cycles
+            now = sim.now
+            busy = nic._rx_busy_until
+            start = now if now > busy else busy
+            completion = start + physical / nic.bandwidth_bps
+            nic._rx_busy_until = completion
+            try:
+                nic_rx[DOM0_OWNER] += physical
+            except KeyError:
+                nic_rx[DOM0_OWNER] = physical
+            packets["rx"] += 1
+            return completion
+
+        def transmit(size_bytes: float) -> float:
+            if size_bytes < 0:
+                raise ConfigurationError("transfer size must be non-negative")
+            try:
+                guest_tx[owner] += size_bytes
+            except KeyError:
+                guest_tx[owner] = size_bytes
+            physical = size_bytes * amplification
+            cycles = physical * cycles_per_byte
+            try:
+                dom0[DOM0_OWNER] += cycles
+            except KeyError:
+                dom0[DOM0_OWNER] = cycles
+            now = sim.now
+            busy = nic._tx_busy_until
+            start = now if now > busy else busy
+            completion = start + physical / nic.bandwidth_bps
+            nic._tx_busy_until = completion
+            try:
+                nic_tx[DOM0_OWNER] += physical
+            except KeyError:
+                nic_tx[DOM0_OWNER] = physical
+            packets["tx"] += 1
+            return completion
+
+        return receive, transmit

@@ -10,7 +10,8 @@ the trade safe:
 * the batched engine is **self-deterministic** (same pinned-fingerprint
   treatment, fresh process each time), on the paper cells and on the
   path cells that exercise faults, budgeted admission, request tracing
-  and live migration,
+  and live migration; the classic engine is bit-stable on the same path
+  cells,
 * the full 518-metric registry of three runs (one per collector set,
   one resized by a controller mid-run) is pinned by its columnar
   matrix,
@@ -113,6 +114,17 @@ class TestPinnedFingerprints:
             f"batched path fingerprint drifted for {cell} — either a "
             "determinism bug, or a deliberate epoch change that needs "
             "scripts/rebaseline.py plus a PERFORMANCE.md note"
+        )
+
+    @pytest.mark.parametrize("cell", PATH_CELLS)
+    def test_classic_paths_bit_stable(self, pinned, cell):
+        spec = path_cells("classic")[cell]
+        assert spec.engine == "classic"
+        result = run_scenario(spec)
+        assert result_fingerprint(result) == pinned["classic_paths"][cell], (
+            f"classic path fingerprint drifted for {cell} — a hop cached a "
+            "device parameter or missed a rebind; fix the regression "
+            "(do NOT rebaseline)"
         )
 
     @pytest.mark.parametrize("cell", REGISTRY_CELLS)

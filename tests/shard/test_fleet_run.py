@@ -11,7 +11,13 @@ import pytest
 
 import repro
 from repro.config import ExperimentConfig
-from repro.shard import ShardTimeoutError, datacenter_fleet, run_fleet
+from repro.processes import worker_context
+from repro.shard import (
+    ShardTimeoutError,
+    datacenter_fleet,
+    run_fleet,
+    two_pod_fleet,
+)
 from repro.shard.fabric import HANG_ENV
 from repro.shard.pod import Pod
 from repro.shard.spec import FleetScenario, PodSpec
@@ -88,6 +94,26 @@ class TestWorkerLifetime:
         monkeypatch.setenv(HANG_ENV, "1")
         with pytest.raises(ShardTimeoutError):
             run_fleet(_quick_fleet(), shards=2, heartbeat_timeout_s=3.0)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_worker_start_raises_its_own_error(self, monkeypatch):
+        # A worker that dies at bootstrap makes start() raise; the run
+        # must raise that error, not the join of a never-started worker.
+        assert multiprocessing.active_children() == []
+        process_type = worker_context().Process
+        start = process_type.start
+        started = []
+
+        def second_start_fails(process):
+            started.append(process.name)
+            if len(started) == 2:
+                raise BrokenPipeError("worker died at bootstrap")
+            start(process)
+
+        monkeypatch.setattr(process_type, "start", second_start_fails)
+        with pytest.raises(BrokenPipeError, match="bootstrap"):
+            run_fleet(two_pod_fleet(), shards=2)
+        assert started == ["repro-shard-0", "repro-shard-1"]
         assert multiprocessing.active_children() == []
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps.tier import VirtualizedContext
 from repro.errors import ConfigurationError
 from repro.hardware.server import PhysicalServer
 from repro.sim.engine import Simulator
@@ -46,25 +47,35 @@ class TestDomainManagement:
 
 
 class TestCpuPath:
+    """A guest's CPU path, through the context bound to the hypervisor."""
+
     def test_cpu_time_at_full_speed(self, hv):
         _, server, hypervisor = hv
-        domain = hypervisor.create_domain("web-vm")
+        context = VirtualizedContext(
+            hypervisor, hypervisor.create_domain("web-vm")
+        )
         cycles = server.spec.frequency_hz  # one core-second of work
-        assert hypervisor.cpu_time(domain, cycles) == pytest.approx(1.0)
+        assert context.cpu_time(cycles) == pytest.approx(1.0)
 
-    def test_charge_vm_cycles_goes_to_vm_owner(self, hv):
+    def test_vm_cycles_go_to_vm_owner(self, hv):
         _, server, hypervisor = hv
-        domain = hypervisor.create_domain("web-vm")
-        hypervisor.charge_vm_cycles(domain, 1e6)
+        context = VirtualizedContext(
+            hypervisor, hypervisor.create_domain("web-vm")
+        )
+        context.charge_cpu(1e6)
         assert server.cpu.ledger.total("vm:web-vm") == 1e6
         assert server.cpu.ledger.total("dom0") == 0.0
 
-    def test_account_request_charges_dom0(self, hv):
+    def test_begin_service_charges_dom0_per_request(self, hv):
         _, server, hypervisor = hv
-        domain = hypervisor.create_domain("web-vm")
-        hypervisor.account_request(domain)
+        context = VirtualizedContext(
+            hypervisor, hypervisor.create_domain("web-vm")
+        )
+        cycles = server.spec.frequency_hz
+        assert context.begin_service(cycles, 1.0) == pytest.approx(1.0)
         expected = hypervisor.overhead.hypercall_cycles_per_request
         assert server.cpu.ledger.total("dom0") == expected
+        assert server.cpu.ledger.total("vm:web-vm") == cycles
         assert hypervisor.requests_accounted == 1
 
     def test_account_commit_charges_dom0(self, hv):

@@ -24,8 +24,9 @@ class TestBlockBackend:
         sim, disk, _, cpu = parts
         overhead = OverheadModel(disk_amplification=2.0)
         backend = BlockBackend(sim, disk, cpu, overhead)
-        backend.read(0.0, "vm:web", 1000.0)
-        backend.write(0.0, "vm:web", 500.0)
+        read, write = backend.hops("vm:web")
+        read(1000.0)
+        write(500.0)
         assert backend.vm_bytes_read("vm:web") == 1000.0
         assert backend.vm_bytes_written("vm:web") == 500.0
         assert backend.vm_total_bytes("vm:web") == 1500.0
@@ -34,7 +35,8 @@ class TestBlockBackend:
         sim, disk, _, cpu = parts
         overhead = OverheadModel(disk_amplification=2.0)
         backend = BlockBackend(sim, disk, cpu, overhead)
-        backend.read(0.0, "vm:web", 1000.0)
+        read, _ = backend.hops("vm:web")
+        read(1000.0)
         assert disk.bytes_read(DOM0_OWNER) == 2000.0
         assert disk.bytes_read("vm:web") == 0.0
 
@@ -42,7 +44,8 @@ class TestBlockBackend:
         sim, disk, _, cpu = parts
         overhead = OverheadModel(disk_amplification=2.0, flush_interval_s=1.0)
         backend = BlockBackend(sim, disk, cpu, overhead)
-        backend.write(0.0, "vm:web", 1000.0)
+        _, write = backend.hops("vm:web")
+        write(1000.0)
         assert disk.bytes_written(DOM0_OWNER) == 0.0
         sim.run_until(1.5)
         assert disk.bytes_written(DOM0_OWNER) == 2000.0
@@ -52,8 +55,9 @@ class TestBlockBackend:
         overhead = OverheadModel(disk_amplification=1.0, flush_interval_s=1.0)
         backend = BlockBackend(sim, disk, cpu, overhead)
         served_before = disk.requests_served
+        _, write = backend.hops("vm:web")
         for _ in range(10):
-            backend.write(0.0, "vm:web", 100.0)
+            write(100.0)
         sim.run_until(1.5)
         # One physical request for ten guest writes.
         assert disk.requests_served == served_before + 1
@@ -65,14 +69,16 @@ class TestBlockBackend:
             disk_amplification=1.0, batch_writes=False
         )
         backend = BlockBackend(sim, disk, cpu, overhead)
-        backend.write(0.0, "vm:web", 100.0)
+        _, write = backend.hops("vm:web")
+        write(100.0)
         assert disk.bytes_written(DOM0_OWNER) == 100.0
 
     def test_write_completion_immediate_when_batched(self, parts):
         sim, disk, _, cpu = parts
         backend = BlockBackend(sim, disk, cpu, OverheadModel())
-        completion = backend.write(5.0, "vm:web", 100.0)
-        assert completion == 5.0
+        sim.run_until(5.0)
+        _, write = backend.hops("vm:web")
+        assert write(100.0) == 5.0
 
     def test_dom0_cpu_charged_per_byte(self, parts):
         sim, disk, _, cpu = parts
@@ -80,7 +86,8 @@ class TestBlockBackend:
             disk_amplification=2.0, disk_cycles_per_byte=10.0
         )
         backend = BlockBackend(sim, disk, cpu, overhead)
-        backend.read(0.0, "vm:web", 100.0)
+        read, _ = backend.hops("vm:web")
+        read(100.0)
         assert cpu.ledger.total(DOM0_OWNER) == pytest.approx(2000.0)
 
     def test_dom0_own_writes_not_amplified(self, parts):
@@ -94,8 +101,9 @@ class TestNetBackend:
     def test_guest_counters_logical(self, parts):
         sim, _, nic, cpu = parts
         backend = NetBackend(sim, nic, cpu, OverheadModel())
-        backend.receive(0.0, "vm:web", 1000.0)
-        backend.transmit(0.0, "vm:web", 2000.0)
+        receive, transmit = backend.hops("vm:web")
+        receive(1000.0)
+        transmit(2000.0)
         assert backend.vm_bytes_received("vm:web") == 1000.0
         assert backend.vm_bytes_transmitted("vm:web") == 2000.0
         assert backend.vm_total_bytes("vm:web") == 3000.0
@@ -104,7 +112,8 @@ class TestNetBackend:
         sim, _, nic, cpu = parts
         overhead = OverheadModel(net_amplification=1.05)
         backend = NetBackend(sim, nic, cpu, overhead)
-        backend.receive(0.0, "vm:web", 1000.0)
+        receive, _ = backend.hops("vm:web")
+        receive(1000.0)
         assert nic.bytes_received(DOM0_OWNER) == pytest.approx(1050.0)
 
     def test_dom0_cpu_charged_per_byte(self, parts):
@@ -113,13 +122,14 @@ class TestNetBackend:
             net_amplification=1.0, net_cycles_per_byte=3.0
         )
         backend = NetBackend(sim, nic, cpu, overhead)
-        backend.transmit(0.0, "vm:web", 100.0)
+        _, transmit = backend.hops("vm:web")
+        transmit(100.0)
         assert cpu.ledger.total(DOM0_OWNER) == pytest.approx(300.0)
 
     def test_multiple_guests_kept_separate(self, parts):
         sim, _, nic, cpu = parts
         backend = NetBackend(sim, nic, cpu, OverheadModel())
-        backend.receive(0.0, "vm:web", 100.0)
-        backend.receive(0.0, "vm:db", 200.0)
+        backend.hops("vm:web")[0](100.0)
+        backend.hops("vm:db")[0](200.0)
         assert backend.vm_bytes_received("vm:web") == 100.0
         assert backend.vm_bytes_received("vm:db") == 200.0
