@@ -39,8 +39,9 @@ from multiprocessing import forkserver
 from pathlib import Path
 
 #: What the server imports once: everything a shard worker or a suite
-#: worker runs.
-PRELOAD = ("repro.shard.worker", "repro.experiments.suite")
+#: worker runs.  ``import numpy`` leaves ``numpy.random`` to its first
+#: use, which would otherwise be inside each worker's first pod build.
+PRELOAD = ("numpy.random", "repro.shard.worker", "repro.experiments.suite")
 
 #: The directory that holds the ``repro`` package.
 _PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)

@@ -79,7 +79,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.rubis.client import SessionStats
 from repro.rubis.database import BufferPool
 from repro.rubis.transitions import TransitionMatrix
@@ -96,11 +96,21 @@ PAGE_BYTES = BufferPool.PAGE_BYTES
 
 #: The per-interaction quantities a wave needs, one row each of
 #: :attr:`_InteractionTable.cols`; a wave gathers them all at once.
+#: The web, db and write bases are adjacent rows (:data:`_DEMAND`), so
+#: one ``(3, n)`` block of noise scales all three.
 _COLUMNS = (
     "response_mu", "response_sigma", "response_base", "web_base",
     "db_base", "db_write_base", "web_log_base", "request_base",
     "db_queries", "query_bytes", "result_bytes", "commits",
 )
+_DEMAND = slice(3, 6)
+
+# A wave's sums, maxima and any-tests: the reductions ``x.sum()``,
+# ``x.max()`` and ``x.any()`` make, without their Python-level frame in
+# ``numpy._core._methods``.
+_sum = np.add.reduce
+_max = np.maximum.reduce
+_any = np.logical_or.reduce
 
 
 class _InteractionTable:
@@ -115,6 +125,8 @@ class _InteractionTable:
     gathers a whole cohort.  ``commits`` is 1.0 for an interaction that
     commits and reaches the database; ``pages`` (buffer-pool pages
     touched, the binomial trial count) is an integer row of its own.
+    ``response_params`` is the one response-noise ``(mu, sigma)`` pair
+    every interaction shares, or None when they differ.
     """
 
     def __init__(self, sampler, names) -> None:
@@ -151,6 +163,56 @@ class _InteractionTable:
         self.demand_params = demand_params
         self.log_params = log_params
         self.req_params = req_params
+        pairs = set(zip(row["response_mu"].tolist(),
+                        row["response_sigma"].tolist()))
+        self.response_params = pairs.pop() if len(pairs) == 1 else None
+
+    def draw(self, rng: np.random.Generator, g: np.ndarray,
+             miss_probability: float) -> tuple:
+        """A cohort's demand arrays, noise drawn, and its page misses.
+
+        Returns ``(response_bytes, web_cycles, db_cycles,
+        db_write_bytes, web_log_bytes, request_bytes, queries,
+        query_bytes, result_bytes, commits, pages, missed)``, aligned
+        with ``g``: the :data:`_COLUMNS` rows past the response
+        parameters, the first six scaled by their noise factors, then
+        the buffer-pool pages each row touches and how many missed.
+
+        The draws keep the classic per-request order (response noise,
+        buffer-pool binomial, demand noise x3, log, request) and consume
+        the stream of one call per quantity.  Two calls are merged where
+        that stream does not change: the response noise is one
+        scalar-parameter call when every interaction shares its pair
+        (the per-row parameters would all be that pair), and the web, db
+        and write noise is one ``(3, n)`` call, whose C-order fill is
+        the three calls' stream.
+        """
+        n = g.size
+        cols = self.cols[:, g]
+        (response_mu, response_sigma, response_bytes, web_cycles, db_cycles,
+         db_write_bytes, web_log_bytes, request_bytes, queries, query_bytes,
+         result_bytes, commits) = cols
+        # The rows are views of ``cols``: each noise multiplies in place.
+        shared = self.response_params
+        if shared is None:
+            response_bytes *= rng.lognormal(response_mu, response_sigma)
+        else:
+            response_bytes *= rng.lognormal(shared[0], shared[1], n)
+        pages = self.pages[g]
+        missed = rng.binomial(pages, miss_probability)
+        if self.demand_params is not None:
+            mu, sigma = self.demand_params
+            demand = cols[_DEMAND]
+            demand *= rng.lognormal(mu, sigma, (3, n))
+        mu, sigma = self.log_params
+        web_log_bytes *= rng.lognormal(mu, sigma, n)
+        mu, sigma = self.req_params
+        request_bytes *= rng.lognormal(mu, sigma, n)
+        return (
+            response_bytes, web_cycles, db_cycles, db_write_bytes,
+            web_log_bytes, request_bytes, queries, query_bytes, result_bytes,
+            commits, pages, missed,
+        )
 
 
 class _MatrixWalk:
@@ -160,10 +222,12 @@ class _MatrixWalk:
     session's state is its row in the stack, the bid rows follow the
     browse rows, and shorter rows are padded with +inf.  ``cdf_rows[s]``
     is exactly the per-state CDF the classic ``next_state`` bisects, and
-    ``(row <= u).sum()`` reproduces ``bisect_right(row, u)``
-    element-for-element (a pad never counts, and the last CDF entry is
-    1.0 > u), so the local-state distribution is identical to a
-    per-session walk.
+    ``argmax(row > u)``, the first entry above ``u``, reproduces
+    ``bisect_right(row, u)`` element-for-element: a row never falls,
+    its last CDF entry is exactly 1.0 > u and the pads are +inf, so the
+    first entry above ``u`` is also the count of entries at or below
+    it.  The local-state distribution is identical to a per-session
+    walk.
     """
 
     def __init__(
@@ -202,15 +266,8 @@ class _MatrixWalk:
         """
         draws = np.empty(states.size)
         draws[stype.argsort(kind="stable")] = rng.random(states.size)
-        local = (self.cdf_rows[states] <= draws[:, None]).sum(axis=1)
+        local = (self.cdf_rows[states] > draws[:, None]).argmax(axis=1)
         return local + self.base[states]
-
-
-def _bump(counters: dict, owner: str, amount: float) -> None:
-    try:
-        counters[owner] += amount
-    except KeyError:
-        counters[owner] = amount
 
 
 def _update_station(station, occupancy, waits, durations) -> None:
@@ -224,22 +281,22 @@ def _update_station(station, occupancy, waits, durations) -> None:
     stats = station.stats
     stats.arrivals += n
     stats.completions += n
-    stats.total_service_s += float(durations.sum())
+    stats.total_service_s += float(_sum(durations))
     if waits is None:
         backlog, peak = n, 1
     else:
-        stats.total_wait_s += float(waits.sum())
+        stats.total_wait_s += float(_sum(waits))
         observed = np.where(
             waits > 0.0,
             np.maximum(occupancy - station.workers, 1),
             1,
         )
-        backlog, peak = observed.sum(), int(observed.max())
+        backlog, peak = _sum(observed), int(_max(observed))
     stats.backlog_sum += float(backlog)
     stats._observations += n
     if peak > stats.peak_backlog:
         stats.peak_backlog = peak
-    occ_peak = int(occupancy.max())
+    occ_peak = int(_max(occupancy))
     if occ_peak > station._window_peak:
         station._window_peak = occ_peak
 
@@ -263,13 +320,14 @@ class _PoolAdapter:
 class _Tier:
     """Where one tier's CPU work and per-request overheads land.
 
-    Holds the identities of one execution context (its CPU ledger, its
-    owner, its hypervisor when virtualized) and, refreshed every drain,
-    the cycle costs and the scheduler-granted seconds per cycle.
+    Holds the identities of one execution context (its CPU ledger's
+    counter dict, its owner, its hypervisor when virtualized) and,
+    refreshed every drain, the cycle costs and the scheduler-granted
+    seconds per cycle.
     """
 
     __slots__ = (
-        "context", "hypervisor", "charge", "owner", "overhead_owner",
+        "context", "hypervisor", "ledger", "owner", "overhead_owner",
         "request_cycles", "commit_cycles", "s_per_cycle", "pure_per_cycle",
     )
 
@@ -277,7 +335,7 @@ class _Tier:
         self.context = context
         self.hypervisor = hypervisor
         server = context.server if hypervisor is None else hypervisor.server
-        self.charge = server.cpu.charge
+        self.ledger = server.cpu.ledger._cycles
         self.owner = context.owner
         # Hypercalls and commit barriers are dom0's work on a
         # hypervisor, the host kernel's (charged to the tier) on bare
@@ -306,12 +364,46 @@ class _Tier:
         # actual − pure as the credit-scheduler ready inflation.
         self.pure_per_cycle = 1.0 / frequency
 
-    def account(self, count: int, scale: float, cycles_total: float) -> None:
-        """Charge ``count`` requests' overhead and their CPU cycles."""
+    def account(
+        self, count: int, scale: float, cycles_total: float, commits: int = 0
+    ) -> None:
+        """Charge ``count`` requests' overhead, their CPU cycles and
+        ``commits`` commit barriers, in that order.
+
+        Each charge is :meth:`CycleLedger.charge
+        <repro.hardware.cpu.CycleLedger.charge>` inlined, its check on a
+        negative count included.
+        """
         if self.hypervisor is not None:
             self.hypervisor.requests_accounted += count
-        self.charge(self.overhead_owner, count * self.request_cycles * scale)
-        self.charge(self.owner, cycles_total)
+        ledger = self.ledger
+        overhead_owner = self.overhead_owner
+        overhead = count * self.request_cycles * scale
+        if overhead < 0:
+            raise CapacityError(
+                f"negative cycle charge {overhead} for {overhead_owner!r}"
+            )
+        try:
+            ledger[overhead_owner] += overhead
+        except KeyError:
+            ledger[overhead_owner] = overhead
+        owner = self.owner
+        if cycles_total < 0:
+            raise CapacityError(
+                f"negative cycle charge {cycles_total} for {owner!r}"
+            )
+        try:
+            ledger[owner] += cycles_total
+        except KeyError:
+            ledger[owner] = cycles_total
+        if commits:
+            cycles = commits * self.commit_cycles
+            if cycles < 0:
+                raise CapacityError(
+                    f"negative cycle charge {cycles} for {overhead_owner!r}"
+                )
+            # The overhead charge above made the key.
+            ledger[overhead_owner] += cycles
 
 
 #: Per hop direction: the device's busy register, its rate attribute,
@@ -345,14 +437,15 @@ class _Hop:
     Every wave of a drain starts from that same seed; ``frontier`` is
     the latest completion over the drain's waves.
 
-    Only identities are cached: the device, its counters, the owners
-    and the backend.  :meth:`refresh` re-reads everything else every
-    drain, because faults change bandwidths and latencies mid-run.
+    Only identities are cached: the device, its counters, the owners,
+    the backend and dom0's CPU ledger.  :meth:`refresh` re-reads
+    everything else every drain, because faults change bandwidths and
+    latencies mid-run.
     """
 
     __slots__ = (
         "device", "busy", "rate_attr", "disk", "direction", "counters",
-        "owner", "backend", "guest", "guest_owner", "os_model",
+        "owner", "backend", "guest", "guest_owner", "ledger", "os_model",
         "seed", "frontier", "rate", "latency", "amplification",
         "cycles_per_byte", "deferred",
     )
@@ -376,6 +469,7 @@ class _Hop:
             )
             self.guest = getattr(self.backend, guest)
             self.guest_owner = context.owner
+            self.ledger = self.backend.cpu.ledger._cycles
             self.owner = DOM0_OWNER
         self.device = host.disk if self.disk else host.nic
         self.counters = getattr(self.device, counters)
@@ -402,27 +496,41 @@ class _Hop:
         )
 
     def book(self, n: int, logical_total, physical_total: float) -> None:
-        """Count one batch's bytes (and its dom0 cycles on a hypervisor)."""
+        """Count one batch's bytes (and its dom0 cycles on a hypervisor).
+
+        The dom0 charge is :meth:`CycleLedger.charge
+        <repro.hardware.cpu.CycleLedger.charge>` inlined, its check on a
+        negative count included.
+        """
         backend = self.backend
         if backend is not None:
-            _bump(self.guest, self.guest_owner, logical_total)
-            backend._charge(
-                DOM0_OWNER, physical_total * self.cycles_per_byte
-            )
+            guest = self.guest
+            try:
+                guest[self.guest_owner] += logical_total
+            except KeyError:
+                guest[self.guest_owner] = logical_total
+            cycles = physical_total * self.cycles_per_byte
+            if cycles < 0:
+                raise CapacityError(
+                    f"negative cycle charge {cycles} for {DOM0_OWNER!r}"
+                )
+            ledger = self.ledger
+            try:
+                ledger[DOM0_OWNER] += cycles
+            except KeyError:
+                ledger[DOM0_OWNER] = cycles
             if self.deferred:
                 backend._pending_write_bytes += physical_total
                 return
-        _bump(self.counters, self.owner, physical_total)
+        counters = self.counters
+        try:
+            counters[self.owner] += physical_total
+        except KeyError:
+            counters[self.owner] = physical_total
         if self.disk:
             self.device.requests_served += n
         else:
             self.device.packets[self.direction] += n
-
-    def services(self, physical: np.ndarray) -> np.ndarray:
-        services = physical / self.rate
-        if self.latency:
-            services += self.latency
-        return services
 
 
 class BatchedPhysics:
@@ -541,14 +649,15 @@ class BatchedPhysics:
         physical = logical * hop.amplification
         hop.book(
             times.size,
-            float(logical.sum()) if hop.backend is not None else None,
-            float(physical.sum()),
+            float(_sum(logical)) if hop.backend is not None else None,
+            float(_sum(physical)),
         )
         if hop.deferred:
             return None
-        completions, frontier = lindley(
-            times, hop.services(physical), hop.seed
-        )
+        services = physical / hop.rate
+        if hop.latency:
+            services += hop.latency
+        completions, frontier = lindley(times, services, hop.seed)
         if frontier > hop.frontier:
             hop.frontier = frontier
         return completions
@@ -559,7 +668,7 @@ class BatchedPhysics:
         Nothing reads the sending lane's completions, and when both
         lanes amplify alike and run at one rate they queue the same
         services at the same times, so one :func:`lindley` pass serves
-        both.
+        both.  Both lanes are NIC directions, which add no latency.
         """
         if (
             out.amplification != into.amplification
@@ -570,13 +679,13 @@ class BatchedPhysics:
         n = times.size
         physical = logical * out.amplification
         logical_total = (
-            float(logical.sum()) if out.backend is not None else None
+            float(_sum(logical)) if out.backend is not None else None
         )
-        physical_total = float(physical.sum())
+        physical_total = float(_sum(physical))
         out.book(n, logical_total, physical_total)
         into.book(n, logical_total, physical_total)
         completions, frontier, out_frontier = lindley(
-            times, out.services(physical), into.seed, out.seed
+            times, physical / out.rate, into.seed, out.seed
         )
         if frontier > into.frontier:
             into.frontier = frontier
@@ -602,13 +711,11 @@ class BatchedPhysics:
         bit-identical to untraced physics.
         """
         d = self.deployment
-        table = self.table
-        rng = self.rng
         n = t0.size
         emit = None
         if trace is not None and self.tracer is not None:
             mask = trace[0]
-            if mask.any():
+            if _any(mask):
                 emit = mask.nonzero()[0]
         self._wave += 1
         if self._wave > 1:
@@ -617,33 +724,16 @@ class BatchedPhysics:
             self.web_pool.restore(self._web_free0)
             self.db_pool.restore(self._db_free0)
 
-        # Demand draws, all at once (classic order per request: response
-        # noise, buffer-pool binomial, demand noise x3, log, request).
-        (response_mu, response_sigma, response_base, web_base, db_base,
-         db_write_base, web_log_base, request_base, queries, query_bytes,
-         result_bytes, commits) = table.cols[:, g]
-        response_bytes = response_base * rng.lognormal(
-            response_mu, response_sigma
-        )
+        # Demand draws, all at once (see _InteractionTable.draw).
         pool = self.buffer_pool
-        pages = table.pages[g]
-        missed = rng.binomial(pages, pool._miss_probability)
-        misses = int(missed.sum())
-        pool.hits += int(pages.sum()) - misses
+        (response_bytes, web_cycles, db_cycles, db_write_bytes,
+         web_log_bytes, request_bytes, queries, query_bytes, result_bytes,
+         commits, pages, missed) = self.table.draw(
+            self.rng, g, pool._miss_probability
+        )
+        misses = int(_sum(missed))
+        pool.hits += int(_sum(pages)) - misses
         pool.misses += misses
-        if table.demand_params is not None:
-            mu, sigma = table.demand_params
-            web_cycles = web_base * rng.lognormal(mu, sigma, n)
-            db_cycles = db_base * rng.lognormal(mu, sigma, n)
-            db_write_bytes = db_write_base * rng.lognormal(mu, sigma, n)
-        else:
-            web_cycles, db_cycles, db_write_bytes = (
-                web_base, db_base, db_write_base
-            )
-        log_mu, log_sigma = table.log_params
-        web_log_bytes = web_log_base * rng.lognormal(log_mu, log_sigma, n)
-        req_mu, req_sigma = table.req_params
-        request_bytes = request_base * rng.lognormal(req_mu, req_sigma, n)
 
         # Stage A: client -> web ingress.
         web_arrive = (
@@ -658,7 +748,7 @@ class BatchedPhysics:
         )
         self._web_comps.append(wd)
         waits = None if starts is web_arrive else starts - web_arrive
-        web.account(n, self._web_scale, float(web_cycles.sum()))
+        web.account(n, self._web_scale, float(_sum(web_cycles)))
         _update_station(d.php_tier.station, occupancy, waits, web_durations)
         d.php_tier.requests_handled += n
 
@@ -677,7 +767,7 @@ class BatchedPhysics:
             db_done_f = np.full(n, np.nan)
             blocked_f = np.zeros(n)
         db_o = has_db[order]
-        if db_o.any():
+        if _any(db_o):
             # The db-bound rows in web-completion order, ties by row.
             sub = order[db_o]
             # Stage Q: query out of the web tier, into the db tier.
@@ -692,7 +782,7 @@ class BatchedPhysics:
             sub_cycles = db_cycles[sub]
             db_durations = sub_cycles * db.s_per_cycle
             sub_missed = missed[sub]
-            if sub_missed.any():
+            if _any(sub_missed):
                 r = sub_missed.nonzero()[0]
                 read_done = self._flow(
                     self._db_read, db_arrive[r],
@@ -711,16 +801,17 @@ class BatchedPhysics:
                 db_done_f[sub] = dd
             self._db_comps.append(dd)
             db_waits = None if db_starts is db_arrive else db_starts - db_arrive
-            db.account(sub.size, self._db_scale, float(sub_cycles.sum()))
+            # Whole-number columns, zero off ``sub``: the sums are exact.
+            commit_count = int(_sum(commits))
+            db.account(
+                sub.size, self._db_scale, float(_sum(sub_cycles)),
+                commit_count,
+            )
             _update_station(
                 d.mysql_tier.station, db_occ, db_waits, db_durations
             )
-            # Whole-number columns, zero off ``sub``: the sums are exact.
-            d.mysql_tier.queries_executed += int(queries.sum())
-            commit_count = int(commits.sum())
-            if commit_count:
-                d.mysql_tier.commits += commit_count
-                db.charge(db.overhead_owner, commit_count * db.commit_cycles)
+            d.mysql_tier.queries_executed += int(_sum(queries))
+            d.mysql_tier.commits += commit_count
 
             # Db completion side effects and the result hop back.
             dorder = dd.argsort(kind="stable")
@@ -728,7 +819,7 @@ class BatchedPhysics:
             sub_o = sub[dorder]
             write_bytes = db_write_bytes[sub_o]
             writes = write_bytes > 0
-            if writes.any():
+            if _any(writes):
                 w = writes.nonzero()[0]
                 self._flow(self._db_write, dd_o[w], write_bytes[w])
             t_ready[sub_o] = self._transfer(
@@ -851,7 +942,7 @@ def _record_requests(
 
 def _record_responses(stats: SessionStats, times: np.ndarray) -> None:
     stats.responses_received += times.size
-    stats.total_response_time_s += float(times.sum())
+    stats.total_response_time_s += float(_sum(times))
     reservoir = stats.response_times_s
     room = SessionStats.MAX_SAMPLES - len(reservoir)
     if room > 0:
@@ -1149,7 +1240,7 @@ class BatchedOpenDriver(AdmissionLedger):
     def _shed(self, times: np.ndarray, attempts: np.ndarray) -> None:
         """Each shed offer retries with backoff or, out of tries, abandons."""
         retry = attempts < self.retry_max
-        retried = int(retry.sum())
+        retried = int(_sum(retry))
         self.arrivals_retried += retried
         self.arrivals_abandoned += int(attempts.size) - retried
         if retried:
@@ -1217,7 +1308,7 @@ class BatchedOpenDriver(AdmissionLedger):
             admit = admission_pass(
                 times, _sorted_finishes(finishes), budget, self._in_flight
             )
-            if not admit.any():
+            if not _any(admit):
                 break
             self._admit(times[admit])
             times, attempts = times[~admit], attempts[~admit]
@@ -1225,7 +1316,7 @@ class BatchedOpenDriver(AdmissionLedger):
         # 3. Offers no completion could save are genuinely shed; only
         #    first attempts count as shed arrivals.
         if times.size:
-            self.arrivals_shed += int((attempts == 0).sum())
+            self.arrivals_shed += int(_sum(attempts == 0))
             self._shed(times, attempts)
             # Retries scheduled by the sheds above may fall inside this
             # very window; give them one more gate walk, in (time,
@@ -1287,7 +1378,7 @@ class BatchedOpenDriver(AdmissionLedger):
             _record_responses(stats, t_done - t0)
             self.remaining[due] -= 1
             finished = self.remaining[due] <= 0
-            if finished.any():
+            if _any(finished):
                 done_slots = due[finished]
                 self.wake[done_slots] = np.inf
                 self._free.extend(done_slots.tolist())

@@ -19,7 +19,7 @@ processes receive their pod set as JSON-able payloads.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple
 
 from repro.config import ExperimentConfig
@@ -192,7 +192,9 @@ class FleetScenario:
     # -- (de)serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        # Field by field: ``asdict`` would convert every pod's config
+        # once more only for the pods entry to be replaced.
+        data = {field.name: getattr(self, field.name) for field in fields(self)}
         data["pods"] = [pod.to_dict() for pod in self.pods]
         if self.optimizer is not None:
             data["optimizer"] = self.optimizer.to_dict()

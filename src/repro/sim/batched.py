@@ -23,7 +23,9 @@ numpy column arrays.  This module holds the engine-agnostic pieces:
 few to a few hundred rows, where numpy's fixed cost per call rivals
 the arithmetic, so they call array methods (``x.cumsum()``,
 ``x.searchsorted(...)``) rather than the ``np.*`` wrappers, which cost
-about 1 µs more per call on numpy 2.4.
+about 1 µs more per call on numpy 2.4, and take maxima with
+``np.maximum.reduce``, the reduction ``x.max()`` makes without its
+Python-level frame in ``numpy._core._methods``.
 
 Everything application-specific (demand sampling, the RUBiS request
 path) lives in :mod:`repro.rubis.batched`.
@@ -86,9 +88,9 @@ def lindley(
     cumulative = services.cumsum()
     offsets = times - cumulative + services  # t_i - S_{i-1}
     if sender_busy is not None:
-        sender_busy = max(sender_busy, float(offsets.max())) + float(
-            cumulative[-1]
-        )
+        sender_busy = max(
+            sender_busy, float(np.maximum.reduce(offsets))
+        ) + float(cumulative[-1])
     if busy_until > offsets[0]:
         offsets[0] = busy_until
     np.maximum.accumulate(offsets, out=offsets)
@@ -159,7 +161,7 @@ class FcfsPool:
             ranks - done_sorted.searchsorted(arrivals, side="right")
             - carried_done
         )
-        if int(occupancy.max()) <= workers:
+        if int(np.maximum.reduce(occupancy)) <= workers:
             # No request waits: starts == arrivals, and each worker's
             # final free time is one of the c largest completion/carry
             # values (a worker's free times only grow, so a dominated

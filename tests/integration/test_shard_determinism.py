@@ -104,6 +104,21 @@ class TestPinnedFleetFingerprint:
             "2332613d4767f39d5a1a560d87012bbbcaaa3b7122a0c4f9a8ed46128f54eb36"
         )
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_batched_pod_fleet_merged_sha_pinned(self, shards):
+        # About 4 rows a drain: a wave's fixed cost is nearly all of
+        # it, a regime no single-server pin reaches.
+        fleet = datacenter_fleet(seed=42, pods=2, duration_s=60.0)
+        fleet = replace(fleet, pods=tuple(
+            replace(pod, config=replace(pod.config, engine="batched"))
+            for pod in fleet.pods
+        ))
+        result = run_fleet(fleet, shards=shards)
+        assert result.requests_completed == 2109
+        assert result.merged_sha256 == (
+            "9249d670a73cb8025bef9c7a1455edb3bc1eeeff8f6e7ec0d449f8e10f72799f"
+        )
+
 
 class TestEngineEquivalence:
     def test_single_pod_fleet_matches_run_scenario(self):

@@ -2,17 +2,29 @@
 
 import heapq
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.experiments.runner import run_scenario
+from repro.errors import CapacityError, ConfigurationError
+from repro.experiments.runner import prepare_run, run_scenario
 from repro.experiments.scenarios import scenario
-from repro.rubis.batched import BatchedOpenDriver, admission_pass
+from repro.rubis.batched import (
+    BatchedOpenDriver,
+    _InteractionTable,
+    _MatrixWalk,
+    admission_pass,
+)
+from repro.rubis.database import BufferPool, RubisDatabase
+from repro.rubis.demand import DemandSampler, DemandScaling
+from repro.rubis.interactions import INTERACTIONS, get_interaction
+from repro.rubis.transitions import bidding_matrix, browsing_matrix
+from repro.rubis.workload import SessionType
 from repro.sim.batched import DRAIN_INTERVAL_S, FcfsPool, lindley
+from repro.units import MB
 
 
 def reference_lindley(times, services, busy_until):
@@ -174,6 +186,173 @@ class TestFcfsPool:
         assert sorted(pool.snapshot()) == [5.0, 20.0]
         with pytest.raises(ConfigurationError):
             pool.rescale_remaining(0.0, -1.0)
+
+
+def _table(scaling=DemandScaling()):
+    pool = BufferPool(
+        capacity_bytes=384 * MB,
+        database=RubisDatabase(),
+        hot_fraction=0.05,
+        hot_access_probability=0.99,
+    )
+    sampler = DemandSampler(scaling, pool, np.random.default_rng(0))
+    return _InteractionTable(sampler, sorted(INTERACTIONS))
+
+
+def separate_draws(table, rng, g, miss_probability):
+    """A wave's demand draws as one generator call per quantity.
+
+    The response noise takes per-row parameters and the web, db and
+    write noise are three calls, as before the merged draws.
+    """
+    (response_mu, response_sigma, response_base, web_base, db_base,
+     write_base, log_base, request_base, *rest) = table.cols[:, g]
+    n = g.size
+    response = response_base * rng.lognormal(response_mu, response_sigma)
+    pages = table.pages[g]
+    missed = rng.binomial(pages, miss_probability)
+    if table.demand_params is None:
+        web, db, write = web_base, db_base, write_base
+    else:
+        mu, sigma = table.demand_params
+        web = web_base * rng.lognormal(mu, sigma, n)
+        db = db_base * rng.lognormal(mu, sigma, n)
+        write = write_base * rng.lognormal(mu, sigma, n)
+    log = log_base * rng.lognormal(*table.log_params, n)
+    request = request_base * rng.lognormal(*table.req_params, n)
+    return (response, web, db, write, log, request, *rest, pages, missed)
+
+
+class TestMergedDraws:
+    """A wave's merged draws equal one generator call per quantity."""
+
+    def _assert_same_draws(self, table, seed, waves=60):
+        cohorts = np.random.default_rng(seed + 1)
+        merged = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        for _ in range(waves):
+            rows = int(cohorts.integers(1, 80))
+            g = cohorts.integers(0, len(table.names), rows)
+            miss_probability = float(cohorts.uniform(0.0, 0.5))
+            got = table.draw(merged, g, miss_probability)
+            want = separate_draws(table, reference, g, miss_probability)
+            assert len(got) == len(want) == 12
+            for index, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == b.dtype, index
+                np.testing.assert_array_equal(a, b, err_msg=str(index))
+        assert merged.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [1, 5, 42])
+    def test_shared_response_pair_matches_per_row_parameters(self, seed):
+        table = _table()
+        assert len(table.names) == 26
+        assert table.response_params is not None
+        self._assert_same_draws(table, seed)
+
+    def test_no_shared_pair_keeps_per_row_parameters(self, monkeypatch):
+        flat = replace(
+            get_interaction("ViewItem"), name="Flat", response_cv=0.0
+        )
+        monkeypatch.setitem(INTERACTIONS, "Flat", flat)
+        table = _table()
+        assert "Flat" in table.names
+        assert table.response_params is None
+        self._assert_same_draws(table, 11)
+
+    def test_zero_demand_cv_draws_no_demand_noise(self):
+        table = _table(DemandScaling(demand_cv=0.0))
+        assert table.demand_params is None
+        self._assert_same_draws(table, 7)
+
+
+class _Uniforms:
+    """A generator stand-in whose ``random(n)`` returns chosen uniforms."""
+
+    def __init__(self, values) -> None:
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+def _walk():
+    matrices = {
+        SessionType.BROWSE: browsing_matrix(),
+        SessionType.BID: bidding_matrix(),
+    }
+    return _MatrixWalk(matrices, _table())
+
+
+def counted_step(walk, rng, stype, states):
+    """The walk's step as a count of CDF entries at or below each draw."""
+    draws = np.empty(states.size)
+    draws[stype.argsort(kind="stable")] = rng.random(states.size)
+    local = (walk.cdf_rows[states] <= draws[:, None]).sum(axis=1)
+    return local + walk.base[states]
+
+
+class TestMatrixWalk:
+    """The first CDF entry above a draw is the count at or below it."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 42])
+    def test_random_cohorts_match_the_count(self, seed):
+        walk = _walk()
+        cohorts = np.random.default_rng(seed + 1)
+        stepped = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        for _ in range(50):
+            rows = int(cohorts.integers(1, 120))
+            stype = cohorts.integers(0, 2, rows).astype(np.int8)
+            states = cohorts.integers(0, walk.cdf_rows.shape[0], rows)
+            np.testing.assert_array_equal(
+                walk.step(stepped, stype, states),
+                counted_step(walk, reference, stype, states),
+            )
+        assert stepped.bit_generator.state == reference.bit_generator.state
+
+    def test_draws_on_cdf_entries_and_at_the_ends(self):
+        # Every row, with a draw equal to each of its CDF entries below
+        # 1.0, a draw of 0.0 and the largest double below 1.0.
+        walk = _walk()
+        states, uniforms, expected = [], [], []
+        for state, row in enumerate(walk.cdf_rows):
+            cdf = row[np.isfinite(row)].tolist()
+            assert cdf[-1] == 1.0
+            edges = [u for u in cdf if u < 1.0]
+            for u in edges + [0.0, np.nextafter(1.0, 0.0)]:
+                states.append(state)
+                uniforms.append(u)
+                expected.append(walk.base[state] + bisect_right(cdf, u))
+        states = np.asarray(states)
+        stype = np.zeros(states.size, dtype=np.int8)
+        got = walk.step(_Uniforms(uniforms), stype, states)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(
+            got, counted_step(walk, _Uniforms(uniforms), stype, states)
+        )
+
+
+class TestInlinedCharges:
+    """The inlined ledger adds keep the ledger's negative-charge check."""
+
+    @pytest.mark.parametrize("environment", ["virtualized", "bare-metal"])
+    def test_negative_cycles_raise(self, environment):
+        spec = scenario(environment, "bidding", duration_s=10.0, seed=1)
+        physics = prepare_run(
+            replace(spec, engine="batched")
+        ).testbed.web.population.physics
+        physics.begin_drain()
+        assert physics._db.commit_cycles > 0
+        with pytest.raises(CapacityError, match="negative cycle charge"):
+            physics._web.account(1, 1.0, -1.0)
+        with pytest.raises(CapacityError, match="negative cycle charge"):
+            physics._db.account(1, -1.0, 1.0)
+        with pytest.raises(CapacityError, match="negative cycle charge"):
+            physics._db.account(1, 1.0, 1.0, -1)
+        if environment == "virtualized":
+            with pytest.raises(CapacityError, match="negative cycle charge"):
+                physics._request.book(1, 10.0, -10.0)
 
 
 class TestBatchedDriverSmoke:

@@ -138,7 +138,9 @@ class TestWarmServer:
     def test_the_server_preloads_without_pythonpath_and_exits_first(self):
         # As perfbench/run.py does: ``src`` goes on sys.path in code.
         # numpy is mapped into the server only if the repro preload
-        # imported; the server must be gone when the interpreter is.
+        # imported, and numpy's generator extension only if numpy.random
+        # was preloaded too; the server must be gone when the
+        # interpreter is.
         code = (
             "import sys\n"
             f"sys.path.insert(0, {SRC!r})\n"
@@ -148,8 +150,9 @@ class TestWarmServer:
             " clients=20), shards=2)\n"
             "pid = forkserver._forkserver._forkserver_pid\n"
             "with open(f'/proc/{pid}/maps') as maps:\n"
-            "    preloaded = '_multiarray_umath' in maps.read()\n"
-            "print(pid, preloaded)\n"
+            "    mapped = maps.read()\n"
+            "print(pid, '_multiarray_umath' in mapped,"
+            " 'random/_generator' in mapped)\n"
         )
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         completed = subprocess.run(
@@ -157,7 +160,8 @@ class TestWarmServer:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        pid, preloaded = completed.stdout.split()
+        pid, preloaded, generator = completed.stdout.split()
         assert preloaded == "True"
+        assert generator == "True"
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid), 0)
